@@ -6,6 +6,7 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     EmptyInput,
+    InvalidParameter,
     NoConvergence,
     NonFinite,
     ParseError,

@@ -7,6 +7,7 @@ stdout (or --out); diagnostics go to stderr, prefixed with the error code.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -40,6 +41,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _eps_arg(value: str) -> float:
+    eps = float(value)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise argparse.ArgumentTypeError(f"eps must be finite and >= 0, got {value!r}")
+    return eps
+
+
 def _default_threads() -> int:
     env = os.environ.get("WHITEVEC_THREADS", "")
     try:
@@ -56,10 +64,10 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _load_fit_corpus(args, data: evaluation.PairedDataset) -> np.ndarray | None:
+def _load_fit_corpus(args, data: evaluation.PairedDataset) -> np.ndarray:
     """--fit target (default) fits on the pair union; --fit FILE on that file."""
     if args.fit == "target":
-        return None
+        return evaluation.fit_corpus(data)
     return fileio.read_emb1(args.fit)
 
 
@@ -94,10 +102,7 @@ def cmd_eval(args) -> int:
     data = _eval_dataset(args)
     transform = None
     if args.k is not None:
-        corpus = _load_fit_corpus(args, data)
-        if corpus is None:
-            corpus = evaluation.fit_corpus(data)
-        transform = whitening.fit(corpus, k=args.k)
+        transform = whitening.fit(_load_fit_corpus(args, data), k=args.k)
     report = evaluation.evaluate(data, transform)
     if args.report == "json":
         doc = {
@@ -119,8 +124,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     data = _eval_dataset(args)
-    corpus = _load_fit_corpus(args, data)
-    results = evaluation.sweep_k(data, args.ks, fit_data=corpus)
+    results = evaluation.sweep_k(data, args.ks, fit_data=_load_fit_corpus(args, data))
     done = {k for k, _ in results}
     for k in args.ks:
         if k != FULL and k not in done:
@@ -191,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a whitening transform from an EMB1 file")
     p.add_argument("--input", required=True, help="EMB1 embedding file to fit on")
     p.add_argument("--k", type=_k_arg, required=True, help="output dim or 'full'")
-    p.add_argument("--eps", type=float, default=None, help="rank tolerance override")
+    p.add_argument("--eps", type=_eps_arg, default=None, help="rank tolerance override")
     p.add_argument("--out", required=True, help="destination transform JSON")
     p.set_defaults(func=cmd_fit)
 

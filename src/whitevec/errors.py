@@ -53,6 +53,12 @@ class DegenerateInput(WhitevecError):
     code = "DegenerateInput"
 
 
+class InvalidParameter(WhitevecError):
+    """A numeric parameter is outside its valid range."""
+
+    code = "InvalidParameter"
+
+
 class BadMagic(WhitevecError):
     code = "BadMagic"
 

@@ -8,9 +8,8 @@ import numpy as np
 
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
+from .retrieval import ZERO_NORM
 from .whitening import FULL, WhiteningTransform
-
-ZERO_NORM = 1e-30
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,8 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); tied values share the average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    sorted_vals = values[order]
-    i = 0
-    n = values.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        # positions i..j (0-based) share average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(pred: np.ndarray, gold: np.ndarray) -> float:

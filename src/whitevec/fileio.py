@@ -118,6 +118,13 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _positive_int(doc: dict, key: str) -> int:
+    value = _require(doc, key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise SchemaMismatch(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def save_transform(path, t: WhiteningTransform) -> None:
     """Serialize a transform as JSON; doubles round-trip bit-exactly."""
     doc = {
@@ -135,7 +142,7 @@ def save_transform(path, t: WhiteningTransform) -> None:
 def load_transform(path) -> WhiteningTransform:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaMismatch(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaMismatch("top-level value must be an object")
@@ -143,14 +150,12 @@ def load_transform(path) -> WhiteningTransform:
         raise SchemaMismatch(
             f"format is {doc['format']!r}, expected {TRANSFORM_FORMAT!r}"
         )
-    input_dim = _require(doc, "input_dim")
-    output_dim = _require(doc, "output_dim")
+    input_dim = _positive_int(doc, "input_dim")
+    output_dim = _positive_int(doc, "output_dim")
     mean = _require(doc, "mean")
     matrix = _require(doc, "matrix")
-    fit_count = _require(doc, "fit_count")
+    fit_count = _positive_int(doc, "fit_count")
     eps = _require(doc, "eps")
-    if not (isinstance(input_dim, int) and isinstance(output_dim, int)):
-        raise SchemaMismatch("input_dim and output_dim must be integers")
     try:
         mean = np.array(mean, dtype=np.float64)
         matrix = np.array(matrix, dtype=np.float64)
@@ -166,8 +171,13 @@ def load_transform(path) -> WhiteningTransform:
         )
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(matrix))):
         raise NonFinite("transform contains NaN or Inf")
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps)):
-        raise SchemaMismatch("eps must be a finite number")
+    if not (
+        isinstance(eps, (int, float))
+        and not isinstance(eps, bool)
+        and math.isfinite(eps)
+        and eps >= 0
+    ):
+        raise SchemaMismatch("eps must be a finite number >= 0")
     mean.setflags(write=False)
     matrix.setflags(write=False)
     return WhiteningTransform(
@@ -175,14 +185,19 @@ def load_transform(path) -> WhiteningTransform:
         matrix=matrix,
         input_dim=input_dim,
         output_dim=output_dim,
-        fit_count=int(fit_count),
+        fit_count=fit_count,
         eps=float(eps),
     )
 
 
 def read_gold(path) -> np.ndarray:
     """One similarity score per line; blank trailing lines tolerated."""
-    text = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError(line, "not valid UTF-8") from None
     scores = []
     pending_blanks = 0
     for lineno, line in enumerate(text.split("\n"), start=1):

@@ -1,22 +1,17 @@
-"""Dense symmetric eigendecomposition via cyclic Jacobi rotations.
+"""Dense symmetric eigendecomposition for covariance matrices.
 
-Self-contained solver for the small-to-medium PSD matrices produced by
-covariance estimation. Output is fully deterministic: eigenvalues sorted
-descending, each eigenvector column signed so its largest-magnitude entry
-is non-negative.
+``sym_eig`` hands the factorization to LAPACK (``numpy.linalg.eigh``) and
+adds a deterministic presentation: eigenvalues sorted descending, each
+eigenvector column signed so its largest-magnitude entry is non-negative.
+Inside a degenerate eigenspace (repeated eigenvalues) the basis LAPACK
+returns is deterministic only for a given platform and BLAS build.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonFinite
-
-MAX_SWEEPS = 100
-
-# Convergence target: off-diagonal Frobenius norm relative to the full
-# Frobenius norm of the input.
-OFFDIAG_TOL = 1e-12
+from .errors import DimensionMismatch, NoConvergence, NonFinite
 
 # Eigenvalues more negative than -NEG_CLAMP_TOL * max|a_ij| are genuine;
 # anything closer to zero is PSD round-off and gets clamped.
@@ -27,7 +22,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2 as a fresh float64 array."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonFinite(f"expected a square matrix, got shape {a.shape}")
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return (a + a.T) / 2.0
 
 
@@ -42,84 +37,34 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def sym_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition A = U diag(lam) U^T for symmetric A.
 
     The input is symmetrized via (A + A^T)/2 before factoring. Tiny
     negative eigenvalues (round-off on PSD inputs) are clamped to zero.
 
-    Raises NonFinite for NaN/Inf entries and NoConvergence if the cyclic
-    Jacobi iteration fails to reach the off-diagonal tolerance within
-    MAX_SWEEPS sweeps.
+    Raises NonFinite for NaN/Inf entries and NoConvergence if LAPACK
+    fails to converge.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix contains NaN or Inf")
     work = symmetrize(a)
-    d = work.shape[0]
-    v = np.eye(d)
-
-    fro = float(np.linalg.norm(work))
-    tol = OFFDIAG_TOL * fro
-    if d > 1 and fro > 0.0:
-        converged = False
-        for _ in range(MAX_SWEEPS):
-            if _offdiag_norm(work) <= tol:
-                converged = True
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = work[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    # A <- J^T A J on columns then rows p, q.
-                    col_p = work[:, p].copy()
-                    col_q = work[:, q].copy()
-                    work[:, p] = c * col_p - s * col_q
-                    work[:, q] = s * col_p + c * col_q
-                    row_p = work[p, :].copy()
-                    row_q = work[q, :].copy()
-                    work[p, :] = c * row_p - s * row_q
-                    work[q, :] = s * row_p + c * row_q
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-                    vec_p = v[:, p].copy()
-                    vec_q = v[:, q].copy()
-                    v[:, p] = c * vec_p - s * vec_q
-                    v[:, q] = s * vec_p + c * vec_q
-        else:
-            converged = _offdiag_norm(work) <= tol
-        if not converged:
-            raise NoConvergence(
-                f"Jacobi sweep cap ({MAX_SWEEPS}) reached, off-diagonal "
-                f"norm {_offdiag_norm(work):.3e} > {tol:.3e}"
-            )
-
-    eigenvalues = np.diag(work).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
+    try:
+        ascending, vectors = np.linalg.eigh(work)
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(f"LAPACK eigh failed: {e}") from e
+    eigenvalues = np.ascontiguousarray(ascending[::-1])
+    vectors = np.ascontiguousarray(vectors[:, ::-1])
 
     max_abs = float(np.max(np.abs(a))) if a.size else 0.0
     clamp = NEG_CLAMP_TOL * max_abs
     eigenvalues[(eigenvalues < 0.0) & (eigenvalues >= -clamp)] = 0.0
 
     # Deterministic signs: largest-magnitude entry of each column >= 0.
-    for j in range(d):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
+    if vectors.size:
+        rows = np.argmax(np.abs(vectors), axis=0)
+        vectors[:, vectors[rows, np.arange(rows.size)] < 0.0] *= -1.0
 
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)

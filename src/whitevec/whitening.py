@@ -6,12 +6,19 @@ of W gives the reduced-dimensionality variant: those columns correspond
 to the k largest eigenvalues, so truncation is PCA-equivalent.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, EmptyInput, NonFinite, RankDeficient
+from .errors import (
+    DimensionMismatch,
+    EmptyInput,
+    InvalidParameter,
+    NonFinite,
+    RankDeficient,
+)
 
 # Default rank tolerance is EPS_SCALE * trace(cov) / d, so it is unit-free.
 EPS_SCALE = 1e-12
@@ -74,7 +81,10 @@ def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransf
     numerical rank. Eigenvalues at or below ``eps`` are unusable (their
     inverse square roots blow up), so the effective rank caps k; asking
     for more raises RankDeficient rather than silently truncating.
+    ``eps`` must be finite and >= 0 (InvalidParameter otherwise).
     """
+    if eps is not None and not (math.isfinite(eps) and eps >= 0.0):
+        raise InvalidParameter(f"eps must be finite and >= 0, got {eps!r}")
     data = _as_matrix(data)
     n, d = data.shape
     if n == 0:
@@ -102,6 +112,8 @@ def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransf
 
     matrix = eig.eigenvectors[:, :k] * scales[:k]
     matrix = np.ascontiguousarray(matrix)
+    if not np.all(np.isfinite(matrix)):
+        raise NonFinite("fitted whitening matrix contains NaN or Inf")
     matrix.setflags(write=False)
     mean.setflags(write=False)
     return WhiteningTransform(

@@ -209,3 +209,65 @@ def test_threads_env_default(workdir, monkeypatch):
         ["bench", "--index", "a", "--query", "b"]
     )
     assert args.threads == 3
+
+
+@pytest.mark.parametrize("eps", ["-1", "-1e-300", "nan", "inf", "abc"])
+def test_fit_invalid_eps_is_usage_error(workdir, eps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            ["fit", "--input", str(workdir / "data.emb1"), "--k", "full",
+             f"--eps={eps}", "--out", str(workdir / "w.json")]
+        )
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+    assert not (workdir / "w.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("fit_count", "abc"),
+        ("fit_count", 0),
+        ("fit_count", -3),
+        ("fit_count", 1.5),
+        ("fit_count", True),
+        ("input_dim", True),
+        ("output_dim", True),
+        ("eps", -1.0),
+        ("eps", True),
+    ],
+)
+def test_transform_rejects_bad_transform_fields(workdir, key, value, capsys):
+    wpath = workdir / "w.json"
+    run(["fit", "--input", str(workdir / "data.emb1"), "--k", "1", "--out", str(wpath)])
+    doc = json.loads(wpath.read_text())
+    doc[key] = value
+    wpath.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(
+        ["transform", "--input", str(workdir / "data.emb1"),
+         "--transform", str(wpath), "--out", str(workdir / "out.emb1")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("SchemaMismatch:")
+
+
+def test_transform_rejects_non_utf8_json(workdir, capsys):
+    wpath = workdir / "w.json"
+    wpath.write_bytes(b"\xff\xfe{}")
+    code = run(
+        ["transform", "--input", str(workdir / "data.emb1"),
+         "--transform", str(wpath), "--out", str(workdir / "out.emb1")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("SchemaMismatch:")
+
+
+def test_eval_non_utf8_gold_is_parse_error(workdir, capsys):
+    (workdir / "gold.txt").write_bytes(b"0.5\n\xff\xfe\n")
+    code = run(
+        ["eval", "--left", str(workdir / "left.emb1"),
+         "--right", str(workdir / "right.emb1"), "--gold", str(workdir / "gold.txt")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ParseError: line 2:")

@@ -83,6 +83,29 @@ class TestSpearman:
                 spearman_oracle(pred, gold), abs=1e-12
             )
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 40000])
+    @pytest.mark.parametrize("levels", [1, 2, 7, None])
+    def test_average_ranks_match_loop_bit_exact(self, n, levels):
+        def loop_ranks(values):
+            order = np.argsort(values, kind="stable")
+            sorted_vals = values[order]
+            ranks = np.empty(values.shape[0])
+            i = 0
+            while i < n:
+                j = i
+                while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(n)
+        if levels is None:
+            values = rng.standard_normal(n)
+        else:
+            values = rng.integers(0, levels, size=n) * 0.2
+        assert np.array_equal(evaluation._average_ranks(values), loop_ranks(values))
+
 
 class TestEvaluate:
     def make_dataset(self, rng, n=60, d=8):

@@ -141,6 +141,20 @@ class TestTransformFile:
         with pytest.raises(errors.SchemaMismatch):
             fileio.load_transform(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("fit_count", "abc"), ("fit_count", 0), ("input_dim", True),
+         ("output_dim", True), ("eps", -1e-9)],
+    )
+    def test_bad_field_is_schema_mismatch(self, tmp_path, transform, key, value):
+        path = tmp_path / "w.json"
+        fileio.save_transform(path, transform)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.SchemaMismatch):
+            fileio.load_transform(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text("not json {")
@@ -172,6 +186,13 @@ class TestReadGold:
         with pytest.raises(errors.ParseError) as exc:
             fileio.read_gold(path)
         assert exc.value.line == 2
+
+    def test_non_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "gold.txt"
+        path.write_bytes(b"1.0\n2.0\n\xff\xfe\n")
+        with pytest.raises(errors.ParseError) as exc:
+            fileio.read_gold(path)
+        assert exc.value.line == 3
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "gold.txt"

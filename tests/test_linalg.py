@@ -106,6 +106,26 @@ class TestSymEig:
         e = linalg.sym_eig(np.zeros((4, 4)))
         assert np.array_equal(e.eigenvalues, np.zeros(4))
 
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(errors.NoConvergence):
+            linalg.sym_eig(np.eye(3))
+
+    def test_outputs_read_only(self):
+        e = linalg.sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert not e.eigenvalues.flags.writeable
+        assert not e.eigenvectors.flags.writeable
+
+
+def test_symmetrize_non_square_is_dimension_mismatch():
+    with pytest.raises(errors.DimensionMismatch):
+        linalg.symmetrize(np.zeros((2, 3)))
+    with pytest.raises(errors.DimensionMismatch):
+        linalg.sym_eig(np.zeros(4))
+
 
 class TestInvSqrtDiag:
     def test_perfect_squares(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whitevec import errors, whitening
+from whitevec import errors, linalg, whitening
 
 FOUR_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
 SQRT2 = np.sqrt(2.0)
@@ -76,6 +76,25 @@ class TestFit:
     def test_k_out_of_range(self):
         with pytest.raises(errors.DimensionMismatch):
             whitening.fit(FOUR_POINTS, k=3)
+
+    @pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_invalid_eps_rejected(self, eps):
+        rank2 = np.random.default_rng(0).standard_normal((50, 2)) @ np.ones((2, 3))
+        with pytest.raises(errors.InvalidParameter):
+            whitening.fit(rank2, k="full", eps=eps)
+
+    def test_zero_eps_accepted(self):
+        t = whitening.fit(np.array([[0.0, 0.0], [2.0, 0.0]]), k="full", eps=0.0)
+        assert t.output_dim == 1 and t.eps == 0.0
+
+    def test_nonfinite_matrix_rejected(self, monkeypatch):
+        bad = linalg.EigenDecomposition(
+            eigenvalues=np.array([1.0, 1.0]),
+            eigenvectors=np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        )
+        monkeypatch.setattr(linalg, "sym_eig", lambda cov: bad)
+        with pytest.raises(errors.NonFinite):
+            whitening.fit(FOUR_POINTS, k=2)
 
     def test_truncation_consistency_bit_exact(self):
         rng = np.random.default_rng(1)
