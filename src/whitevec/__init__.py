@@ -39,9 +39,8 @@ from .whitening import (
     WhiteningTransform,
     apply,
     apply_batch,
-    compute_covariance,
-    compute_mean,
     fit,
+    fit_from_moments,
     truncate,
 )
 

@@ -6,9 +6,9 @@ stdout (or --out); diagnostics go to stderr, prefixed with the error code.
 """
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -48,14 +48,6 @@ def _eps_arg(value: str) -> float:
     return eps
 
 
-def _default_threads() -> int:
-    env = os.environ.get("WHITEVEC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
@@ -72,8 +64,10 @@ def _load_fit_corpus(args, data: evaluation.PairedDataset) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
-    data = fileio.read_emb1(args.input)
-    t = whitening.fit(data, k=args.k, eps=args.eps)
+    state = streaming.MomentState()
+    for block in fileio.iter_emb1(args.input):
+        state.update(block)
+    t = whitening.fit_from_moments(state, k=args.k, eps=args.eps)
     fileio.save_transform(args.out, t)
     print(
         f"fitted on {t.fit_count} vectors: {t.input_dim} -> {t.output_dim} dims",
@@ -177,10 +171,8 @@ def cmd_search(args) -> int:
 
 def cmd_bench(args) -> int:
     index, queries = _load_index_and_queries(args)
-    report = retrieval.benchmark(
-        index, queries, args.top, repetitions=args.reps, threads=args.threads
-    )
-    _emit(json.dumps(report.to_dict(), sort_keys=True) + "\n", args.out)
+    report = retrieval.benchmark(index, queries, args.top, repetitions=args.reps)
+    _emit(json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -256,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="throughput benchmark for exact search")
     add_search_inputs(p)
     p.add_argument("--reps", type=_positive_int, default=5)
-    p.add_argument("--threads", type=_positive_int, default=_default_threads())
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -69,11 +69,10 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"shapes {x.shape} and {y.shape} do not match")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx < ZERO_NORM or ny < ZERO_NORM:
+    cosines, valid = _pair_cosines(x[np.newaxis], y[np.newaxis])
+    if not valid[0]:
         raise ZeroVector("cosine similarity of a (near-)zero vector is undefined")
-    return float(np.dot(x, y) / (nx * ny))
+    return float(cosines[0])
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ See docs/formats.md for a hex example.
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Iterator
@@ -39,11 +40,18 @@ HEADER = struct.Struct("<4sIQIB11s")
 HEADER_SIZE = 32
 DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 DTYPE_CODES = {"float32": 0, "float64": 1}
+# Rows per block when decoding a payload.
+READ_ROWS = 4096
 
 TRANSFORM_FORMAT = "whitening-v1"
 
 
-def _read_header(f) -> tuple[int, int, np.dtype]:
+def _open_payload(f) -> tuple[int, int, np.dtype]:
+    """Read the header and check the file holds exactly the declared payload.
+
+    The check runs against the file size, so nothing is allocated or
+    yielded for a header that promises more (or less) than is there.
+    """
     raw = f.read(HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
         raise TruncatedPayload(f"file shorter than the {HEADER_SIZE}-byte header")
@@ -54,51 +62,54 @@ def _read_header(f) -> tuple[int, int, np.dtype]:
         raise UnsupportedVersion(f"version {version} not supported (only {VERSION})")
     if dtype_code not in DTYPES:
         raise UnsupportedVersion(f"unknown dtype code {dtype_code}")
-    return count, dim, DTYPES[dtype_code]
+    if dim == 0:
+        raise SchemaMismatch("header declares dim 0")
+    dtype = DTYPES[dtype_code]
+    expected = count * dim * dtype.itemsize
+    actual = os.fstat(f.fileno()).st_size - HEADER_SIZE
+    if actual != expected:
+        raise TruncatedPayload(f"payload is {actual} bytes, header declares {expected}")
+    return count, dim, dtype
+
+
+def _blocks(f, count: int, dim: int, dtype: np.dtype, batch_rows: int):
+    """Yield the payload as finite (rows, dim) blocks in the file's dtype."""
+    for start in range(0, count, batch_rows):
+        rows = min(batch_rows, count - start)
+        raw = f.read(rows * dim * dtype.itemsize)
+        if len(raw) != rows * dim * dtype.itemsize:
+            raise TruncatedPayload("file shrank while it was being read")
+        block = np.frombuffer(raw, dtype=dtype).reshape(rows, dim)
+        if not np.all(np.isfinite(block)):
+            raise NonFinite("embedding payload contains NaN or Inf")
+        yield block
 
 
 def read_emb1(path) -> np.ndarray:
     """Load an EMB1 file as an N x d float64 matrix (float32 upcast)."""
     with open(path, "rb") as f:
-        count, dim, dtype = _read_header(f)
-        payload = f.read()
-    expected = count * dim * dtype.itemsize
-    if len(payload) != expected:
-        raise TruncatedPayload(
-            f"payload is {len(payload)} bytes, header declares {expected}"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(count, dim)
-    data = data.astype(np.float64)
-    if not np.all(np.isfinite(data)):
-        raise NonFinite("embedding payload contains NaN or Inf")
+        count, dim, dtype = _open_payload(f)
+        data = np.empty((count, dim))
+        row = 0
+        for block in _blocks(f, count, dim, dtype, READ_ROWS):
+            data[row : row + block.shape[0]] = block
+            row += block.shape[0]
     return data
 
 
-def iter_emb1(path, batch_rows: int = 4096) -> Iterator[np.ndarray]:
-    """Stream an EMB1 file in row batches without loading it whole."""
+def iter_emb1(path, batch_rows: int = READ_ROWS) -> Iterator[np.ndarray]:
+    """Stream an EMB1 file as float64 row blocks without loading it whole."""
     with open(path, "rb") as f:
-        count, dim, dtype = _read_header(f)
-        row_bytes = dim * dtype.itemsize
-        remaining = count
-        while remaining > 0:
-            n = min(batch_rows, remaining)
-            raw = f.read(n * row_bytes)
-            if len(raw) != n * row_bytes:
-                raise TruncatedPayload(
-                    f"payload ends {remaining} rows short of the declared count"
-                )
-            block = np.frombuffer(raw, dtype=dtype).reshape(n, dim).astype(np.float64)
-            if not np.all(np.isfinite(block)):
-                raise NonFinite("embedding payload contains NaN or Inf")
-            yield block
-            remaining -= n
+        count, dim, dtype = _open_payload(f)
+        for block in _blocks(f, count, dim, dtype, batch_rows):
+            yield block.astype(np.float64)
 
 
 def write_emb1(path, data: np.ndarray, dtype: str = "float64") -> None:
     """Write a matrix as EMB1. float64 round-trips bit-exactly."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise SchemaMismatch(f"expected an N x d matrix, got shape {data.shape}")
+    if data.ndim != 2 or data.shape[1] == 0:
+        raise SchemaMismatch(f"expected an N x d matrix, d >= 1, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise NonFinite("refusing to write NaN or Inf values")
     if dtype not in DTYPE_CODES:

@@ -19,11 +19,15 @@ NEG_CLAMP_TOL = 1e-10
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2 as a fresh float64 array."""
+    """Return (A + A^T)/2 as a fresh float64 array.
+
+    Halves before adding, so finite entries never overflow.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return (a + a.T) / 2.0
+    half = a / 2.0
+    return half + half.T
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,8 @@ def sym_eig(a: np.ndarray) -> EigenDecomposition:
     The input is symmetrized via (A + A^T)/2 before factoring. Tiny
     negative eigenvalues (round-off on PSD inputs) are clamped to zero.
 
-    Raises NonFinite for NaN/Inf entries and NoConvergence if LAPACK
-    fails to converge.
+    Raises NonFinite for NaN/Inf entries or eigenvalues beyond the float64
+    range, and NoConvergence if LAPACK fails to converge.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
@@ -54,6 +58,8 @@ def sym_eig(a: np.ndarray) -> EigenDecomposition:
         ascending, vectors = np.linalg.eigh(work)
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"LAPACK eigh failed: {e}") from e
+    if not np.all(np.isfinite(ascending)):
+        raise NonFinite("eigenvalues overflow float64")
     eigenvalues = np.ascontiguousarray(ascending[::-1])
     vectors = np.ascontiguousarray(vectors[:, ::-1])
 

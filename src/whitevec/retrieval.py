@@ -8,7 +8,6 @@ approximate-index artifacts.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +41,7 @@ class BenchReport:
     queries_per_second: float
     bytes_per_vector: int
     total_index_bytes: int
-    threads: int
     repetitions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_vectors": self.n_vectors,
-            "dim": self.dim,
-            "queries_per_second": self.queries_per_second,
-            "bytes_per_vector": self.bytes_per_vector,
-            "total_index_bytes": self.total_index_bytes,
-            "threads": self.threads,
-            "repetitions": self.repetitions,
-        }
 
 
 def build_index(data: np.ndarray) -> CosineIndex:
@@ -114,7 +101,6 @@ def benchmark(
     queries: np.ndarray,
     k_results: int,
     repetitions: int,
-    threads: int = 1,
 ) -> BenchReport:
     """Median-of-repetitions throughput for exact top-k search.
 
@@ -128,18 +114,11 @@ def benchmark(
         raise EmptyInput(f"repetitions must be >= 3, got {repetitions}")
     n_queries = queries.shape[0]
 
-    def run_all() -> None:
-        if threads <= 1:
-            for q in queries:
-                top_k(index, q, k_results)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda q: top_k(index, q, k_results), queries))
-
     times = []
     for _ in range(repetitions):
         start = time.perf_counter()
-        run_all()
+        for q in queries:
+            top_k(index, q, k_results)
         times.append(time.perf_counter() - start)
     median = float(np.median(times))
     return BenchReport(
@@ -148,6 +127,5 @@ def benchmark(
         queries_per_second=n_queries / median,
         bytes_per_vector=index.dim * 4,
         total_index_bytes=index.size * index.dim * 4,
-        threads=threads,
         repetitions=repetitions,
     )

@@ -2,16 +2,18 @@
 
 State holds (count, mean, scatter) where scatter is the *unscaled* sum of
 centered outer products, so scatter/count reproduces the biased batch
-covariance. Updates use the exact pairwise form
+covariance. Every change to the state is one Chan, Golub & LeVeque
+combination of two (count, mean, scatter) triples:
 
-    scatter += outer(x - mean_old, x - mean_new)
+    n = n_a + n_b,  delta = mean_b - mean_a
+    mean    = mean_a + delta * n_b / n
+    scatter = scatter_a + scatter_b + outer(delta, delta) * n_a * n_b / n
 
-(the multivariate Welford update) rather than the covariance-form
-recurrence "cov_{n+1} = n/(n+1) cov_n + 1/(n+1) (x-mean)^T(x-mean)":
-read literally with either the old or the new mean, that recurrence does
-not reproduce the batch covariance exactly, while the pairwise form does
-up to round-off. Storing the unscaled sum also makes merging two partial
-states a plain Chan combination without catastrophic cancellation.
+``update`` takes a row block's own mean and scatter (one GEMM) and folds
+them in; ``merge`` folds in another state. A single vector is the
+one-row block, whose scatter is zero. Storing the unscaled sum keeps the
+combination free of catastrophic cancellation, and streaming, batch and
+merged results agree up to round-off.
 """
 
 from __future__ import annotations
@@ -43,25 +45,42 @@ class MomentState:
         return None if self.mean is None else self.mean.shape[0]
 
     def update(self, x: np.ndarray) -> None:
-        """Fold one vector into the state (mutates in place)."""
+        """Fold a vector or an (m, d) row block into the state (in place).
+
+        A zero-row block leaves the state unchanged.
+        """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("input vector contains NaN or Inf")
-        if self.mean is None:
-            self._allocate(x.shape[0])
-        elif x.shape[0] != self.dim:
+        block = x[np.newaxis, :] if x.ndim == 1 else x
+        if block.ndim != 2:
             raise DimensionMismatch(
-                f"vector has dim {x.shape[0]}, state has dim {self.dim}"
+                f"expected a vector or a row block, got shape {x.shape}"
             )
-        self.count += 1
-        delta_old = x - self.mean
-        self.mean += delta_old / self.count
-        delta_new = x - self.mean
-        # Symmetrized so the stored scatter stays exactly symmetric.
-        cross = np.outer(delta_old, delta_new)
-        self.scatter += (cross + cross.T) / 2.0
+        if self.mean is not None and block.shape[1] != self.dim:
+            raise DimensionMismatch(
+                f"rows have dim {block.shape[1]}, state has dim {self.dim}"
+            )
+        if not np.all(np.isfinite(block)):
+            raise NonFinite("input rows contain NaN or Inf")
+        m = block.shape[0]
+        if m == 0:
+            return
+        if self.mean is None:
+            self._allocate(block.shape[1])
+        mean = block.mean(axis=0)
+        centered = block - mean
+        # A single row's own scatter is zero; skip the GEMM for it.
+        self._combine(m, mean, centered.T @ centered if m > 1 else 0.0)
+
+    def _combine(self, count: int, mean: np.ndarray, scatter) -> None:
+        """Chan combination with a partial state of ``count`` points."""
+        total = self.count + count
+        delta = mean - self.mean
+        weight = self.count * count / total
+        self.mean += delta * (count / total)
+        self.scatter += scatter
+        if weight:  # zero while the state is empty
+            self.scatter += np.outer(delta, delta) * weight
+        self.count = total
 
     def copy(self) -> MomentState:
         out = MomentState()
@@ -80,13 +99,8 @@ def merge(a: MomentState, b: MomentState) -> MomentState:
         return a.copy()
     if a.dim != b.dim:
         raise DimensionMismatch(f"state dims differ: {a.dim} vs {b.dim}")
-    out = MomentState(a.dim)
-    out.count = a.count + b.count
-    delta = b.mean - a.mean
-    out.mean = a.mean + delta * (b.count / out.count)
-    out.scatter = (
-        a.scatter + b.scatter + np.outer(delta, delta) * (a.count * b.count / out.count)
-    )
+    out = a.copy()
+    out._combine(b.count, b.mean, b.scatter)
     return out
 
 

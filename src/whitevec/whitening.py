@@ -19,6 +19,7 @@ from .errors import (
     NonFinite,
     RankDeficient,
 )
+from .streaming import MomentState, finalize
 
 # Default rank tolerance is EPS_SCALE * trace(cov) / d, so it is unit-free.
 EPS_SCALE = 1e-12
@@ -47,29 +48,6 @@ def _as_matrix(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def compute_mean(data: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the rows."""
-    data = _as_matrix(data)
-    if data.shape[0] == 0:
-        raise EmptyInput("cannot compute the mean of zero rows")
-    return data.mean(axis=0)
-
-
-def compute_covariance(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Biased covariance (1/N) * sum_i (x_i - mean)^T (x_i - mean)."""
-    data = _as_matrix(data)
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (data.shape[1],):
-        raise DimensionMismatch(
-            f"mean has shape {mean.shape}, expected ({data.shape[1]},)"
-        )
-    if data.shape[0] == 0:
-        raise EmptyInput("cannot compute covariance of zero rows")
-    centered = data - mean
-    cov = centered.T @ centered / data.shape[0]
-    return linalg.symmetrize(cov)
-
-
 def default_eps(cov: np.ndarray) -> float:
     return EPS_SCALE * float(np.trace(cov)) / cov.shape[0]
 
@@ -77,16 +55,29 @@ def default_eps(cov: np.ndarray) -> float:
 def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransform:
     """Fit a whitening transform on the rows of ``data``.
 
+    The moments come from a one-block ``MomentState``; see
+    ``fit_from_moments`` for ``k`` and ``eps``.
+    """
+    state = MomentState()
+    state.update(_as_matrix(data))
+    return fit_from_moments(state, k, eps)
+
+
+def fit_from_moments(
+    state: MomentState, k="full", eps: float | None = None
+) -> WhiteningTransform:
+    """Fit a whitening transform from accumulated moments.
+
     ``k`` is the requested output dimensionality, or "full" for the whole
-    numerical rank. Eigenvalues at or below ``eps`` are unusable (their
-    inverse square roots blow up), so the effective rank caps k; asking
-    for more raises RankDeficient rather than silently truncating.
-    ``eps`` must be finite and >= 0 (InvalidParameter otherwise).
+    numerical rank. An eigenvalue counts toward the rank only if it
+    exceeds ``max(eps, d * machine_eps * lam_max)``: at or below that its
+    inverse square root amplifies round-off. Asking for more than the
+    rank raises RankDeficient rather than silently truncating. ``eps``
+    must be finite and >= 0 (InvalidParameter otherwise).
     """
     if eps is not None and not (math.isfinite(eps) and eps >= 0.0):
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps!r}")
-    data = _as_matrix(data)
-    n, d = data.shape
+    n, d = state.count, state.dim
     if n == 0:
         raise EmptyInput("cannot fit a transform on zero rows")
     if n < 2:
@@ -96,12 +87,12 @@ def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransf
         if not 1 <= k <= d:
             raise DimensionMismatch(f"k={k} outside [1, {d}]")
 
-    mean = compute_mean(data)
-    cov = compute_covariance(data, mean)
+    mean, cov = finalize(state)
     if eps is None:
         eps = default_eps(cov)
     eig = linalg.sym_eig(cov)
-    scales, rank = linalg.inv_sqrt_diag(eig.eigenvalues, eps)
+    floor = max(eps, d * np.finfo(np.float64).eps * eig.eigenvalues[0])
+    scales, rank = linalg.inv_sqrt_diag(eig.eigenvalues, floor)
 
     if k == FULL:
         k = rank

@@ -198,17 +198,6 @@ def test_bench_json(workdir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["bytes_per_vector"] == 16
     assert doc["queries_per_second"] > 0
-    assert doc["threads"] == 1
-
-
-def test_threads_env_default(workdir, monkeypatch):
-    monkeypatch.setenv("WHITEVEC_THREADS", "3")
-    from whitevec.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["bench", "--index", "a", "--query", "b"]
-    )
-    assert args.threads == 3
 
 
 @pytest.mark.parametrize("eps", ["-1", "-1e-300", "nan", "inf", "abc"])
@@ -271,3 +260,60 @@ def test_eval_non_utf8_gold_is_parse_error(workdir, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("ParseError: line 2:")
+
+
+def test_fit_streams_without_bulk_read(workdir, monkeypatch):
+    def refuse(path):
+        raise AssertionError("fit must stream the file, not load it whole")
+
+    monkeypatch.setattr(fileio, "read_emb1", refuse)
+    wpath = workdir / "w.json"
+    code = run(["fit", "--input", str(workdir / "data.emb1"), "--k", "full",
+                "--out", str(wpath)])
+    assert code == 0
+    monkeypatch.undo()
+    t = fileio.load_transform(wpath)
+    ref = whitening.fit(fileio.read_emb1(workdir / "data.emb1"), k="full")
+    assert np.max(np.abs(t.matrix - ref.matrix)) <= 1e-10
+    assert np.max(np.abs(t.mean - ref.mean)) <= 1e-12
+
+
+def test_fit_multi_block_file_matches_library(tmp_path):
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((9000, 6)) @ rng.standard_normal((6, 6)) + 1.5
+    fileio.write_emb1(tmp_path / "big.emb1", data)
+    wpath = tmp_path / "w.json"
+    assert run(["fit", "--input", str(tmp_path / "big.emb1"), "--k", "4",
+                "--out", str(wpath)]) == 0
+    t = fileio.load_transform(wpath)
+    ref = whitening.fit(data, k=4)
+    assert t.fit_count == 9000
+    assert np.max(np.abs(t.matrix - ref.matrix)) <= 1e-10
+    assert np.max(np.abs(t.mean - ref.mean)) <= 1e-12
+
+
+def test_fit_zero_eps_collinear_keeps_numerical_rank(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((2000, 3))
+    data = np.column_stack([base, base[:, 0] + base[:, 1], 2.0 * base[:, 2] - base[:, 0]])
+    fileio.write_emb1(tmp_path / "col.emb1", data)
+    wpath, white = tmp_path / "w.json", tmp_path / "white.emb1"
+    assert run(["fit", "--input", str(tmp_path / "col.emb1"), "--k", "full",
+                "--eps", "0", "--out", str(wpath)]) == 0
+    t = fileio.load_transform(wpath)
+    assert t.output_dim == 3 and t.eps == 0.0
+    assert run(["transform", "--input", str(tmp_path / "col.emb1"),
+                "--transform", str(wpath), "--out", str(white)]) == 0
+    y = fileio.read_emb1(white)
+    assert np.max(np.abs(np.cov(y, rowvar=False, bias=True) - np.eye(3))) <= 1e-10
+
+
+@pytest.mark.parametrize("command", ["stats", "fit"])
+def test_trailing_bytes_rejected(workdir, command, capsys):
+    path = workdir / "trail.emb1"
+    path.write_bytes((workdir / "data.emb1").read_bytes() + b"\x00" * 8)
+    argv = [command, "--input", str(path)]
+    if command == "fit":
+        argv += ["--k", "2", "--out", str(workdir / "w.json")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("TruncatedPayload:")

@@ -41,6 +41,14 @@ class TestCosine:
         with pytest.raises(errors.DimensionMismatch):
             cosine_similarity(np.ones(2), np.ones(3))
 
+    def test_matches_pair_cosines_bit_exact(self):
+        rng = np.random.default_rng(1)
+        left = rng.standard_normal((25, 9))
+        right = rng.standard_normal((25, 9))
+        cosines, _ = evaluation._pair_cosines(left, right)
+        for i in range(25):
+            assert cosine_similarity(left[i], right[i]) == cosines[i]
+
 
 class TestSpearman:
     def test_monotone_agreement(self):

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,3 +199,55 @@ class TestReadGold:
         path = tmp_path / "gold.txt"
         path.write_text("")
         assert fileio.read_gold(path).shape == (0,)
+
+
+def emb1_header(count, dim, dtype_code=1):
+    return struct.pack("<4sIQIB11s", b"EMB1", 1, count, dim, dtype_code, b"\x00" * 11)
+
+
+@pytest.mark.parametrize("extra", [1, 8, 4096])
+def test_trailing_bytes_rejected_by_both_readers(tmp_path, extra):
+    path = tmp_path / "trail.emb1"
+    fileio.write_emb1(path, np.ones((3, 2)))
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    with pytest.raises(errors.TruncatedPayload):
+        fileio.read_emb1(path)
+    with pytest.raises(errors.TruncatedPayload):
+        next(fileio.iter_emb1(path))
+
+
+def test_huge_declared_count_rejected_before_allocation(tmp_path):
+    path = tmp_path / "huge.emb1"
+    path.write_bytes(emb1_header(2**40, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.TruncatedPayload):
+            fileio.read_emb1(path)
+        with pytest.raises(errors.TruncatedPayload):
+            next(fileio.iter_emb1(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_zero_dim_rejected(tmp_path):
+    path = tmp_path / "flat.emb1"
+    path.write_bytes(emb1_header(2**40, 0))
+    with pytest.raises(errors.SchemaMismatch):
+        fileio.read_emb1(path)
+    with pytest.raises(errors.SchemaMismatch):
+        fileio.write_emb1(tmp_path / "out.emb1", np.empty((3, 0)))
+
+
+def test_nonfinite_in_late_block_raised_by_both_readers(tmp_path):
+    data = np.zeros((10, 2))
+    path = tmp_path / "late.emb1"
+    fileio.write_emb1(path, data)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = struct.pack("<d", float("inf"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(errors.NonFinite):
+        fileio.read_emb1(path)
+    with pytest.raises(errors.NonFinite):
+        list(fileio.iter_emb1(path, batch_rows=3))

@@ -142,3 +142,16 @@ class TestInvSqrtDiag:
         vals, rank = linalg.inv_sqrt_diag(np.array([1.0, 0.0]), 1e-12)
         assert np.array_equal(vals, [1.0])
         assert rank == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e308, 8e307, -1.7e308])
+def test_overflowing_eigenvalues_are_nonfinite(value):
+    with pytest.raises(errors.NonFinite):
+        linalg.sym_eig(np.full((3, 3), value))
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetrize_huge_entries_stays_finite():
+    a = np.array([[1e308, 1.7e308], [1.5e308, -1e308]])
+    assert np.array_equal(linalg.symmetrize(a), [[1e308, 1.6e308], [1.6e308, -1e308]])

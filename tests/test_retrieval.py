@@ -117,11 +117,3 @@ class TestBenchmark:
         idx = retrieval.build_index(rng.standard_normal((10, 4)))
         with pytest.raises(errors.EmptyInput):
             retrieval.benchmark(idx, rng.standard_normal((2, 4)), 1, repetitions=2)
-
-    def test_threads_reported(self):
-        rng = np.random.default_rng(7)
-        idx = retrieval.build_index(rng.standard_normal((10, 4)))
-        rep = retrieval.benchmark(
-            idx, rng.standard_normal((4, 4)), 2, repetitions=3, threads=2
-        )
-        assert rep.threads == 2

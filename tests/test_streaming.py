@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitevec import errors, streaming, whitening
+from whitevec import errors, streaming
 
 FOUR_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
 
@@ -61,10 +61,59 @@ def test_gaussian_matches_batch_functions():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1000, 8))
     mean, cov = streaming.finalize(feed(x))
-    batch_mean = whitening.compute_mean(x)
-    batch_cov = whitening.compute_covariance(x, batch_mean)
+    batch_mean = x.mean(axis=0)
+    batch_cov = np.cov(x, rowvar=False, bias=True)
     assert np.max(np.abs(mean - batch_mean)) <= 1e-10
     assert np.max(np.abs(cov - batch_cov)) <= 1e-10
+
+
+class TestBlockUpdate:
+    def test_block_matches_rows(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((257, 6)) * 5.0 + 2.0
+        rows = feed(x)
+        blocks = streaming.MomentState()
+        for start in range(0, 257, 64):
+            blocks.update(x[start : start + 64])
+        assert blocks.count == rows.count == 257
+        assert np.max(np.abs(blocks.mean - rows.mean)) <= 1e-12
+        assert np.max(np.abs(blocks.scatter - rows.scatter)) <= 1e-9
+
+    def test_one_block_is_batch_moments(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((500, 7))
+        state = streaming.MomentState()
+        state.update(x)
+        mean, cov = streaming.finalize(state)
+        assert np.array_equal(mean, x.mean(axis=0))
+        assert np.array_equal(cov, cov.T)
+        assert np.max(np.abs(cov - np.cov(x, rowvar=False, bias=True))) <= 1e-12
+
+    def test_zero_row_block_is_noop(self):
+        empty = streaming.MomentState()
+        empty.update(np.empty((0, 3)))
+        assert empty.count == 0 and empty.dim is None
+        state = feed([[1.0, 2.0], [3.0, 5.0]])
+        before = state.copy()
+        state.update(np.empty((0, 2)))
+        assert state.count == 2
+        assert np.array_equal(state.mean, before.mean)
+        assert np.array_equal(state.scatter, before.scatter)
+
+    def test_block_dim_mismatch(self):
+        state = feed([[1.0, 2.0]])
+        with pytest.raises(errors.DimensionMismatch):
+            state.update(np.zeros((4, 3)))
+        with pytest.raises(errors.DimensionMismatch):
+            state.update(np.zeros((2, 2, 2)))
+
+    def test_block_nonfinite_rejected(self):
+        block = np.ones((5, 2))
+        block[3, 1] = np.inf
+        state = streaming.MomentState()
+        with pytest.raises(errors.NonFinite):
+            state.update(block)
+        assert state.count == 0
 
 
 class TestMerge:
@@ -114,8 +163,8 @@ def test_streaming_equals_batch_and_merge(n, d, split, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d)) * 3.0 + rng.standard_normal(d)
     mean, cov = streaming.finalize(feed(x))
-    batch_mean = whitening.compute_mean(x)
-    batch_cov = whitening.compute_covariance(x, batch_mean)
+    batch_mean = x.mean(axis=0)
+    batch_cov = np.cov(x, rowvar=False, bias=True)
     assert np.max(np.abs(mean - batch_mean)) <= 1e-10
     assert np.max(np.abs(cov - batch_cov)) <= 1e-10
 

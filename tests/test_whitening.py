@@ -1,47 +1,53 @@
 import numpy as np
 import pytest
 
-from whitevec import errors, linalg, whitening
+from whitevec import errors, linalg, streaming, whitening
 
 FOUR_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
 SQRT2 = np.sqrt(2.0)
 
 
+def block_moments(rows):
+    """Mean and biased covariance of one row block, the way ``fit`` takes them."""
+    state = streaming.MomentState()
+    state.update(np.asarray(rows, dtype=np.float64))
+    return streaming.finalize(state)
+
+
 class TestMoments:
     def test_mean_midpoint(self):
-        assert np.array_equal(
-            whitening.compute_mean(np.array([[0.0, 0.0], [2.0, 0.0]])), [1.0, 0.0]
-        )
+        mean, _ = block_moments([[0.0, 0.0], [2.0, 0.0]])
+        assert np.array_equal(mean, [1.0, 0.0])
 
     def test_mean_single_row(self):
-        assert np.array_equal(
-            whitening.compute_mean(np.array([[3.0, -1.0]])), [3.0, -1.0]
-        )
+        mean, _ = block_moments([[3.0, -1.0]])
+        assert np.array_equal(mean, [3.0, -1.0])
 
     def test_mean_symmetry(self):
-        assert np.array_equal(whitening.compute_mean(FOUR_POINTS), [0.0, 0.0])
+        mean, _ = block_moments(FOUR_POINTS)
+        assert np.array_equal(mean, [0.0, 0.0])
 
     def test_mean_empty(self):
         with pytest.raises(errors.EmptyInput):
-            whitening.compute_mean(np.empty((0, 3)))
+            block_moments(np.empty((0, 3)))
 
     def test_covariance_four_points(self):
-        cov = whitening.compute_covariance(FOUR_POINTS, np.zeros(2))
+        _, cov = block_moments(FOUR_POINTS)
         assert np.allclose(cov, [[0.5, 0.0], [0.0, 2.0]], atol=1e-15)
 
     def test_covariance_singular(self):
-        cov = whitening.compute_covariance(
-            np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0])
-        )
+        _, cov = block_moments([[0.0, 0.0], [2.0, 0.0]])
         assert np.allclose(cov, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_covariance_single_point(self):
-        cov = whitening.compute_covariance(np.array([[5.0, -2.0]]), np.array([5.0, -2.0]))
+        _, cov = block_moments([[5.0, -2.0]])
         assert np.array_equal(cov, np.zeros((2, 2)))
 
     def test_covariance_dim_mismatch(self):
+        state = streaming.MomentState()
+        state.update(FOUR_POINTS)
         with pytest.raises(errors.DimensionMismatch):
-            whitening.compute_covariance(FOUR_POINTS, np.zeros(3))
+            state.update(np.zeros((2, 3)))
 
 
 class TestFit:
@@ -86,6 +92,18 @@ class TestFit:
     def test_zero_eps_accepted(self):
         t = whitening.fit(np.array([[0.0, 0.0], [2.0, 0.0]]), k="full", eps=0.0)
         assert t.output_dim == 1 and t.eps == 0.0
+
+    def test_zero_eps_drops_roundoff_eigenvalues(self):
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((2000, 3))
+        x = np.column_stack([base, base[:, 0] + base[:, 1], 2.0 * base[:, 2] - base[:, 0]])
+        t = whitening.fit(x, k="full", eps=0.0)
+        assert t.output_dim == 3 and t.eps == 0.0
+        y = whitening.apply_batch(t, x)
+        assert np.max(np.abs(np.cov(y, rowvar=False, bias=True) - np.eye(3))) <= 1e-10
+        with pytest.raises(errors.RankDeficient) as exc:
+            whitening.fit(x, k=4, eps=0.0)
+        assert exc.value.rank == 3
 
     def test_nonfinite_matrix_rejected(self, monkeypatch):
         bad = linalg.EigenDecomposition(
@@ -170,7 +188,7 @@ def test_whiteness_property():
     t = whitening.fit(x, k="full")
     y = whitening.apply_batch(t, x)
     assert np.max(np.abs(y.mean(axis=0))) <= 1e-8
-    cov = whitening.compute_covariance(y, y.mean(axis=0))
+    cov = np.cov(y, rowvar=False, bias=True)
     assert np.max(np.abs(cov - np.eye(t.output_dim))) <= 1e-6
 
 
@@ -181,3 +199,41 @@ def test_pca_equivalence_unit_variance_per_column():
     y = whitening.apply_batch(t, x)
     variances = (y**2).mean(axis=0) - y.mean(axis=0) ** 2
     assert np.allclose(variances, 1.0, atol=1e-8)
+
+
+class TestFitFromMoments:
+    def test_fit_is_one_block_of_moments(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6))
+        state = streaming.MomentState()
+        state.update(x)
+        direct = whitening.fit(x, k=4)
+        staged = whitening.fit_from_moments(state, k=4)
+        assert np.array_equal(direct.matrix, staged.matrix)
+        assert np.array_equal(direct.mean, staged.mean)
+        assert staged.fit_count == 300 and staged.input_dim == 6
+
+    def test_streamed_blocks_match_batch_fit(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((1000, 5)) @ rng.standard_normal((5, 5)) + 4.0
+        state = streaming.MomentState()
+        for start in range(0, 1000, 128):
+            state.update(x[start : start + 128])
+        staged = whitening.fit_from_moments(state, k="full")
+        direct = whitening.fit(x, k="full")
+        assert np.max(np.abs(staged.matrix - direct.matrix)) <= 1e-10
+        assert np.max(np.abs(staged.mean - direct.mean)) <= 1e-12
+
+    def test_needs_two_points(self):
+        with pytest.raises(errors.EmptyInput):
+            whitening.fit_from_moments(streaming.MomentState(), k="full")
+        state = streaming.MomentState()
+        state.update(np.ones(3))
+        with pytest.raises(errors.EmptyInput):
+            whitening.fit_from_moments(state, k="full")
+
+    def test_k_checked_against_state_dim(self):
+        state = streaming.MomentState()
+        state.update(FOUR_POINTS)
+        with pytest.raises(errors.DimensionMismatch):
+            whitening.fit_from_moments(state, k=3)
