@@ -33,7 +33,14 @@ from .fileio import (
     write_emb1,
 )
 from .linalg import EigenDecomposition, inv_sqrt_diag, sym_eig
-from .retrieval import BenchReport, CosineIndex, benchmark, build_index, top_k
+from .retrieval import (
+    BenchReport,
+    CosineIndex,
+    benchmark,
+    build_index,
+    top_k,
+    top_k_batch,
+)
 from .streaming import MomentState, finalize, merge
 from .whitening import (
     WhiteningTransform,

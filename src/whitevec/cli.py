@@ -50,8 +50,7 @@ def _eps_arg(value: str) -> float:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
+        fileio.write_atomic(out_path, [text.encode("utf-8")])
     else:
         sys.stdout.write(text)
 
@@ -160,10 +159,8 @@ def _load_index_and_queries(args):
 def cmd_search(args) -> int:
     index, queries = _load_index_and_queries(args)
     lines = []
-    for row, q in enumerate(queries):
-        for rank, (vec_id, score) in enumerate(
-            retrieval.top_k(index, q, args.top), start=1
-        ):
+    for row, hits in enumerate(retrieval.top_k_batch(index, queries, args.top)):
+        for rank, (vec_id, score) in enumerate(hits, start=1):
             lines.append(f"{row}\t{rank}\t{vec_id}\t{score:.6f}\n")
     _emit("".join(lines), args.out)
     return 0

@@ -15,12 +15,13 @@ EMB1 layout (all integers little-endian):
 See docs/formats.md for a hex example.
 """
 
+import contextlib
 import json
 import math
 import os
 import struct
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -105,6 +106,35 @@ def iter_emb1(path, batch_rows: int = READ_ROWS) -> Iterator[np.ndarray]:
             yield block.astype(np.float64)
 
 
+def write_atomic(path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` whole or not at all.
+
+    They go to a temporary file beside ``path``, which ``os.replace`` then
+    renames over it; on any error the temporary file is removed and an
+    existing ``path`` keeps its old bytes. The file is not fsynced. A path
+    that exists but is not a regular file (a pipe, a terminal, /dev/stdout)
+    cannot be replaced, so it is written in place.
+    """
+    path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_emb1(path, data: np.ndarray, dtype: str = "float64") -> None:
     """Write a matrix as EMB1. float64 round-trips bit-exactly."""
     data = np.asarray(data, dtype=np.float64)
@@ -117,10 +147,7 @@ def write_emb1(path, data: np.ndarray, dtype: str = "float64") -> None:
     code = DTYPE_CODES[dtype]
     count, dim = data.shape
     header = HEADER.pack(MAGIC, VERSION, count, dim, code, b"\x00" * 11)
-    payload = np.ascontiguousarray(data, dtype=DTYPES[code]).tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+    write_atomic(path, [header, np.ascontiguousarray(data, dtype=DTYPES[code])])
 
 
 def _require(doc: dict, key: str):
@@ -147,13 +174,15 @@ def save_transform(path, t: WhiteningTransform) -> None:
         "fit_count": t.fit_count,
         "eps": t.eps,
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    write_atomic(path, [(json.dumps(doc, indent=1) + "\n").encode("utf-8")])
 
 
 def load_transform(path) -> WhiteningTransform:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+        # literals beyond Python's digit limit; deep nesting recurses.
         raise SchemaMismatch(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaMismatch("top-level value must be an object")
@@ -170,7 +199,7 @@ def load_transform(path) -> WhiteningTransform:
     try:
         mean = np.array(mean, dtype=np.float64)
         matrix = np.array(matrix, dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaMismatch(f"mean/matrix are not numeric arrays: {e}") from e
     if mean.shape != (input_dim,):
         raise SchemaMismatch(
@@ -182,12 +211,16 @@ def load_transform(path) -> WhiteningTransform:
         )
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(matrix))):
         raise NonFinite("transform contains NaN or Inf")
-    if not (
-        isinstance(eps, (int, float))
-        and not isinstance(eps, bool)
-        and math.isfinite(eps)
-        and eps >= 0
-    ):
+    try:
+        eps_ok = (
+            isinstance(eps, (int, float))
+            and not isinstance(eps, bool)
+            and math.isfinite(eps)
+            and eps >= 0
+        )
+    except OverflowError:  # an integer beyond the float64 range
+        eps_ok = False
+    if not eps_ok:
         raise SchemaMismatch("eps must be a finite number >= 0")
     mean.setflags(write=False)
     matrix.setflags(write=False)

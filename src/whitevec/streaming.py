@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFinite
 
+OVERFLOW = "mean or covariance overflows float64"
+
 
 class MomentState:
     """Mergeable accumulator for streaming mean and covariance."""
@@ -64,23 +66,43 @@ class MomentState:
         m = block.shape[0]
         if m == 0:
             return
+        if m == 1:
+            mean, scatter = block[0], 0.0  # a single row's own scatter is zero
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = block.mean(axis=0)
+                centered = block - mean
+                scatter = centered.T @ centered
+            # BLAS worker threads do not report overflow to numpy, so check.
+            # A scatter is a sum of outer products: by Cauchy-Schwarz its
+            # diagonal bounds every entry, so checking the diagonal suffices.
+            diagonal = np.diagonal(scatter)
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(diagonal))):
+                raise NonFinite(OVERFLOW)
         if self.mean is None:
             self._allocate(block.shape[1])
-        mean = block.mean(axis=0)
-        centered = block - mean
-        # A single row's own scatter is zero; skip the GEMM for it.
-        self._combine(m, mean, centered.T @ centered if m > 1 else 0.0)
+        self._combine(m, mean, scatter)
 
     def _combine(self, count: int, mean: np.ndarray, scatter) -> None:
-        """Chan combination with a partial state of ``count`` points."""
+        """Chan combination with a partial state of ``count`` points.
+
+        Raises NonFinite, leaving the state unchanged, if the result
+        overflows float64.
+        """
         total = self.count + count
-        delta = mean - self.mean
         weight = self.count * count / total
-        self.mean += delta * (count / total)
-        self.scatter += scatter
-        if weight:  # zero while the state is empty
-            self.scatter += np.outer(delta, delta) * weight
-        self.count = total
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                delta = mean - self.mean
+                new_mean = self.mean + delta * (count / total)
+                new_scatter = self.scatter + scatter
+                if weight:  # zero while the state is empty
+                    outer = np.outer(delta, delta)
+                    outer *= weight
+                    new_scatter += outer
+        except FloatingPointError:
+            raise NonFinite(OVERFLOW) from None
+        self.mean, self.scatter, self.count = new_mean, new_scatter, total
 
     def copy(self) -> MomentState:
         out = MomentState()

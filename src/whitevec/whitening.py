@@ -26,6 +26,9 @@ EPS_SCALE = 1e-12
 
 FULL = "full"
 
+# Rows per BLAS call in apply_batch; a fixed shape keeps rows bit-exact.
+TILE_ROWS = 64
+
 
 @dataclass(frozen=True)
 class WhiteningTransform:
@@ -138,17 +141,30 @@ def truncate(t: WhiteningTransform, k: int) -> WhiteningTransform:
 def apply_batch(t: WhiteningTransform, data: np.ndarray) -> np.ndarray:
     """Transform every row: (data - mean) @ matrix.
 
-    Uses einsum with a fixed reduction order so a one-row batch is
-    bit-identical to the same row inside a larger batch.
+    Rows go through BLAS in fixed TILE_ROWS-row tiles, the last one padded
+    with zero rows, so every row meets the same GEMM shape and a one-row
+    batch is bit-identical to the same row inside a larger batch. Each
+    tile is centred in one reused buffer: beyond its output, the call
+    allocates O(TILE_ROWS * d).
     """
-    data = _as_matrix(data)
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
     if data.shape[1] != t.input_dim:
         raise DimensionMismatch(
             f"rows have dim {data.shape[1]}, transform expects {t.input_dim}"
         )
-    if data.shape[0] == 0:
-        return np.empty((0, t.output_dim))
-    return np.einsum("ij,jk->ik", data - t.mean, t.matrix)
+    out = np.empty((data.shape[0], t.output_dim))
+    tile = np.zeros((TILE_ROWS, t.input_dim))
+    for start in range(0, data.shape[0], TILE_ROWS):
+        rows = data[start : start + TILE_ROWS]
+        if not np.all(np.isfinite(rows)):
+            raise NonFinite("embedding matrix contains NaN or Inf")
+        m = rows.shape[0]
+        np.subtract(rows, t.mean, out=tile[:m])
+        tile[m:] = 0.0
+        out[start : start + m] = (tile @ t.matrix)[:m]
+    return out
 
 
 def apply(t: WhiteningTransform, x: np.ndarray) -> np.ndarray:

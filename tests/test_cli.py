@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from whitevec import fileio, whitening
+from whitevec import fileio, retrieval, whitening
 from whitevec.cli import run
 from whitevec.evaluation import cosine_similarity
 
@@ -188,6 +188,43 @@ def test_search_with_transform(workdir, capsys):
     assert len(capsys.readouterr().out.strip().split("\n")) == 2
 
 
+def test_search_zero_queries_gives_empty_output(workdir, capsys):
+    fileio.write_emb1(workdir / "q.emb1", np.empty((0, 4)))
+    out = workdir / "hits.tsv"
+    argv = ["search", "--index", str(workdir / "data.emb1"),
+            "--query", str(workdir / "q.emb1"), "--top", "3"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
+def test_search_matches_library_batch(workdir, capsys):
+    rng = np.random.default_rng(5)
+    queries = np.concatenate([rng.standard_normal((70, 4)), fileio.read_emb1(workdir / "data.emb1")[:60]])
+    fileio.write_emb1(workdir / "q.emb1", queries)
+    assert run(["search", "--index", str(workdir / "data.emb1"),
+                "--query", str(workdir / "q.emb1"), "--top", "4"]) == 0
+    index = retrieval.build_index(fileio.read_emb1(workdir / "data.emb1"))
+    expected = "".join(
+        f"{row}\t{rank}\t{i}\t{s:.6f}\n"
+        for row, hits in enumerate(retrieval.top_k_batch(index, queries, 4))
+        for rank, (i, s) in enumerate(hits, start=1)
+    )
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "query, code",
+    [(np.zeros((2, 4)), "ZeroVector"), (np.ones((2, 3)), "DimensionMismatch")],
+)
+def test_search_bad_queries_are_runtime_errors(workdir, query, code, capsys):
+    fileio.write_emb1(workdir / "q.emb1", query)
+    assert run(["search", "--index", str(workdir / "data.emb1"),
+                "--query", str(workdir / "q.emb1")]) == 1
+    assert capsys.readouterr().err.startswith(f"{code}:")
+
+
 def test_bench_json(workdir, capsys):
     fileio.write_emb1(workdir / "q.emb1", np.eye(4))
     code = run(
@@ -317,3 +354,17 @@ def test_trailing_bytes_rejected(workdir, command, capsys):
         argv += ["--k", "2", "--out", str(workdir / "w.json")]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("TruncatedPayload:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["stats", "fit"])
+def test_overflowing_moments_are_runtime_errors(tmp_path, command, capsys):
+    path = tmp_path / "huge.emb1"
+    fileio.write_emb1(path, np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]]))
+    argv = [command, "--input", str(path)]
+    if command == "fit":
+        argv += ["--k", "full", "--out", str(tmp_path / "w.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NonFinite:") and "overflows float64" in err
+    assert not (tmp_path / "w.json").exists()

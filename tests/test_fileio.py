@@ -1,4 +1,7 @@
+import builtins
+import errno
 import json
+import os
 import struct
 import tracemalloc
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitevec import errors, fileio, whitening
+from whitevec.cli import run
 
 
 def test_emb1_size_arithmetic(tmp_path):
@@ -251,3 +255,80 @@ def test_nonfinite_in_late_block_raised_by_both_readers(tmp_path):
         fileio.read_emb1(path)
     with pytest.raises(errors.NonFinite):
         list(fileio.iter_emb1(path, batch_rows=3))
+
+
+class HalfWrittenFile:
+    """Writes half of the first chunk, then fails as a full disk would."""
+
+    def __init__(self, path, mode):
+        self.f = builtins.open(path, mode)
+
+    def write(self, chunk):
+        data = memoryview(chunk).cast("B")
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def failing_writes(path, mode="r", *args, **kwargs):
+    """fileio's open with every write failing partway; reads untouched."""
+    if "r" in mode:
+        return builtins.open(path, mode, *args, **kwargs)
+    return HalfWrittenFile(path, mode)
+
+
+class TestAtomicWrite:
+    @pytest.fixture
+    def target(self, tmp_path):
+        fileio.write_emb1(tmp_path / "in.emb1", np.arange(12.0).reshape(4, 3))
+        target = tmp_path / "out"
+        target.write_bytes(b"previous contents\n")
+        return target
+
+    def assert_untouched(self, target):
+        assert target.read_bytes() == b"previous contents\n"
+        assert sorted(os.listdir(target.parent)) == ["in.emb1", "out"]
+
+    def test_write_emb1_failing_partway(self, target, monkeypatch):
+        monkeypatch.setattr(fileio, "open", failing_writes, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            fileio.write_emb1(target, np.eye(3), dtype="float32")
+        self.assert_untouched(target)
+
+    def test_save_transform_failing_partway(self, target, monkeypatch):
+        t = whitening.fit(np.random.default_rng(3).standard_normal((20, 3)), k=2)
+        monkeypatch.setattr(fileio, "open", failing_writes, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            fileio.save_transform(target, t)
+        self.assert_untouched(target)
+
+    def test_cli_out_failing_partway(self, target, monkeypatch, capsys):
+        monkeypatch.setattr(fileio, "open", failing_writes, raising=False)
+        assert run(["stats", "--input", str(target.with_name("in.emb1")),
+                    "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("IOError:")
+        self.assert_untouched(target)
+
+    def test_failed_rename_leaves_no_temp(self, target, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "rename refused")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            fileio.write_emb1(target, np.eye(3))
+        self.assert_untouched(target)
+
+    def test_replaces_existing_file(self, target):
+        fileio.write_emb1(target, np.eye(3) * 7.0)
+        assert np.array_equal(fileio.read_emb1(target), np.eye(3) * 7.0)
+        assert sorted(os.listdir(target.parent)) == ["in.emb1", "out"]
+
+    def test_non_regular_target_written_in_place(self):
+        fileio.write_atomic(os.devnull, [b"discarded"])
+        assert not os.path.isfile(os.devnull)

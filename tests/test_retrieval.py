@@ -4,6 +4,56 @@ import pytest
 from whitevec import errors, retrieval
 
 
+def gemv_top_k(index, query, k_results):
+    """The per-query GEMV top_k this module had before top_k_batch, kept as
+    the bit-exact reference for top_k."""
+    query = np.asarray(query, dtype=np.float64)
+    q32 = (query / float(np.linalg.norm(query))).astype(np.float32)
+    scores = index.vectors @ q32
+    np.clip(scores, -1.0, 1.0, out=scores)
+    k = min(k_results, index.size)
+    if k < index.size:
+        part = np.argpartition(-scores, k - 1)[:k]
+        threshold = scores[part].min()
+        candidates = np.flatnonzero(scores >= threshold)
+    else:
+        candidates = np.arange(index.size)
+    order = np.lexsort((index.ids[candidates], -scores[candidates]))
+    chosen = candidates[order[:k]]
+    return [(int(index.ids[i]), float(scores[i])) for i in chosen]
+
+
+def whole_matrix_build_index(data):
+    """build_index's whole-matrix normalization before it was chunked."""
+    norms = np.linalg.norm(data, axis=1)
+    keep = norms >= retrieval.ZERO_NORM
+    return (data[keep] / norms[keep, np.newaxis]).astype(np.float32), np.flatnonzero(keep)
+
+
+def batch_oracle(index, queries, k):
+    """Full sort of the same GEMM score blocks top_k_batch computes."""
+    q = np.asarray(queries, dtype=np.float64)
+    unit = (q / np.sqrt(np.vecdot(q, q))[:, np.newaxis]).astype(np.float32)
+    out = []
+    for start in range(0, unit.shape[0], retrieval.QUERY_TILE):
+        block = np.clip(index.vectors @ unit[start : start + retrieval.QUERY_TILE].T, -1.0, 1.0)
+        for col in block.T:
+            ranked = sorted(zip(index.ids.tolist(), col.tolist()), key=lambda p: (-p[1], p[0]))
+            out.append([(int(i), float(s)) for i, s in ranked[:k]])
+    return out
+
+
+def clustered_index(rng, n, d, zero_rows=5):
+    """Rows around a few centres, with duplicate groups larger than most k
+    and some all-zero rows that build_index drops."""
+    data = rng.standard_normal((8, d))[rng.integers(0, 8, n)] + 0.3 * rng.standard_normal((n, d))
+    for size in (2, 5, 12, 40):
+        rows = rng.choice(n, size, replace=False)
+        data[rows] = data[rows[0]]
+    data[rng.choice(n, zero_rows, replace=False)] = 0.0
+    return data
+
+
 def full_sort_oracle(index, query, k):
     """Naive oracle: score everything, sort by (-score, id), take k."""
     q = np.asarray(query, dtype=np.float64)
@@ -41,6 +91,24 @@ class TestBuildIndex:
     def test_empty_rejected(self):
         with pytest.raises(errors.EmptyInput):
             retrieval.build_index(np.empty((0, 4)))
+
+    @pytest.mark.parametrize("n", [1, retrieval.BUILD_ROWS + 7])
+    def test_chunked_matches_whole_matrix_bit_exact(self, n):
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((n, 24)) * rng.uniform(1e-3, 1e3, (n, 1))
+        data[rng.choice(n, n // 3, replace=False)] = 0.0
+        idx = retrieval.build_index(data)
+        vectors, ids = whole_matrix_build_index(data)
+        assert idx.vectors.dtype == np.float32
+        assert np.array_equal(idx.vectors, vectors)
+        assert np.array_equal(idx.ids, ids)
+        assert idx.norms_dropped == n - ids.size
+
+    def test_nonfinite_in_late_chunk_rejected(self):
+        data = np.ones((retrieval.BUILD_ROWS + 3, 4))
+        data[-1, 2] = np.inf
+        with pytest.raises(errors.NonFinite):
+            retrieval.build_index(data)
 
 
 class TestTopK:
@@ -94,6 +162,96 @@ class TestTopK:
         for _, score in first:
             assert -1.0 <= score <= 1.0
         assert retrieval.top_k(idx, q, 10) == first
+
+
+class TestTopKBatch:
+    @pytest.mark.parametrize("n_queries", [1, 63, 64, 65, 130])
+    def test_matches_full_sort_oracle(self, n_queries):
+        rng = np.random.default_rng(n_queries)
+        data = clustered_index(rng, 300, 16)
+        idx = retrieval.build_index(data)
+        queries = np.concatenate([
+            rng.standard_normal((n_queries, 16)),
+            data[idx.ids[rng.integers(0, idx.size, n_queries)]],
+        ])[rng.permutation(2 * n_queries)[:n_queries]]
+        for k in (1, 3, 12, 40, idx.size - 1, idx.size, idx.size + 5):
+            assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+
+    @pytest.mark.parametrize("k", [1, 10, 41, 1500, 2999, 5000])
+    def test_residue_classes_exact_on_larger_index(self, k):
+        # n above SELECT_CLASSES, so classes hold several rows plus a tail.
+        rng = np.random.default_rng(k)
+        data = clustered_index(rng, 3000, 8, zero_rows=9)
+        idx = retrieval.build_index(data)
+        queries = np.concatenate([data[idx.ids[:40]], rng.standard_normal((30, 8))])
+        assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+
+    def test_ties_at_boundary_resolved_by_id(self):
+        data = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 7, axis=0)
+        idx = retrieval.build_index(data)
+        hits = retrieval.top_k_batch(idx, np.array([[1.0, 0.0], [1.0, 1.0]]), 9)
+        assert [i for i, _ in hits[0]] == list(range(7)) + [14, 15]
+        assert [i for i, _ in hits[1]] == list(range(14, 21)) + [0, 1]
+
+    def test_zero_queries(self):
+        idx = retrieval.build_index(np.eye(3))
+        assert retrieval.top_k_batch(idx, np.empty((0, 3)), 2) == []
+
+    def test_all_rows_dropped_gives_empty_hits(self):
+        idx = retrieval.build_index(np.zeros((4, 3)))
+        assert retrieval.top_k_batch(idx, np.ones((2, 3)), 2) == [[], []]
+        assert retrieval.top_k(idx, np.ones(3), 2) == []
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 4)])
+    def test_dim_mismatch(self, shape):
+        idx = retrieval.build_index(np.eye(4))
+        with pytest.raises(errors.DimensionMismatch):
+            retrieval.top_k_batch(idx, np.ones(shape), 1)
+
+    def test_zero_query_names_row(self):
+        idx = retrieval.build_index(np.eye(2))
+        with pytest.raises(errors.ZeroVector, match="row 1"):
+            retrieval.top_k_batch(idx, np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        idx = retrieval.build_index(np.eye(2))
+        with pytest.raises(errors.DimensionMismatch):
+            retrieval.top_k_batch(idx, np.ones((1, 2)), k)
+        with pytest.raises(errors.DimensionMismatch):
+            retrieval.top_k(idx, np.ones(2), k)
+
+    def test_nonfinite_query(self):
+        idx = retrieval.build_index(np.eye(2))
+        with pytest.raises(errors.NonFinite):
+            retrieval.top_k_batch(idx, np.array([[1.0, np.nan]]), 1)
+
+    def test_top_k_equals_gemv_reference_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        data = clustered_index(rng, 5000, 64)
+        idx = retrieval.build_index(data)
+        queries = np.concatenate([
+            rng.standard_normal((60, 64)) * rng.uniform(1e-3, 1e3, (60, 1)),
+            data[idx.ids[:20]],
+        ])
+        for q in queries:
+            for k in (1, 10, 45):
+                assert retrieval.top_k(idx, q, k) == gemv_top_k(idx, q, k)
+
+    def test_batch_rows_match_top_k_away_from_near_ties(self):
+        rng = np.random.default_rng(12)
+        data = clustered_index(rng, 4000, 48)
+        idx = retrieval.build_index(data)
+        queries = np.concatenate([rng.standard_normal((100, 48)), data[idx.ids[:30]]])
+        k = 10
+        for q, batch_row in zip(queries, retrieval.top_k_batch(idx, queries, k)):
+            single = retrieval.top_k(idx, q, k)
+            kth = single[-1][1]
+            firm = lambda hits: {i for i, s in hits if s > kth + 1e-6}
+            assert firm(batch_row) == firm(single)
+            assert len(batch_row) == len(single) == k
+            for (i, s), (j, t) in zip(batch_row, single):
+                assert abs(s - t) <= 1e-6
 
 
 class TestBenchmark:

@@ -180,3 +180,54 @@ def test_state_size_constant_in_n():
     big = feed(np.random.default_rng(3).standard_normal((500, 6)))
     assert small.scatter.shape == big.scatter.shape == (6, 6)
     assert small.mean.shape == big.mean.shape == (6,)
+
+
+HUGE = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]])
+
+
+def assert_same_state(state, before):
+    assert state.count == before.count
+    assert np.array_equal(state.mean, before.mean)
+    assert np.array_equal(state.scatter, before.scatter)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    def test_row_update_raises_and_keeps_state(self):
+        state = feed(HUGE[:1])
+        before = state.copy()
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            state.update(HUGE[1])
+        assert_same_state(state, before)
+
+    def test_block_update_raises_and_keeps_state(self):
+        empty = streaming.MomentState()
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            empty.update(HUGE)
+        assert empty.count == 0 and empty.dim is None
+        state = feed([[1.0, 2.0], [3.0, 4.0]])
+        before = state.copy()
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            state.update(HUGE)
+        assert_same_state(state, before)
+
+    def test_combination_overflow_raises(self):
+        # Each block is finite on its own; the cross term is not.
+        state = streaming.MomentState()
+        state.update(np.full((2, 2), 1e200))
+        before = state.copy()
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            state.update(np.full((2, 2), -1e200))
+        assert_same_state(state, before)
+
+    def test_merge_overflow_raises_and_keeps_inputs(self):
+        a, b = feed([[1e200, 0.0]]), feed([[-1e200, 0.0]])
+        a_before, b_before = a.copy(), b.copy()
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            streaming.merge(a, b)
+        assert_same_state(a, a_before)
+        assert_same_state(b, b_before)
+
+    def test_large_but_representable_values_pass(self):
+        mean, cov = streaming.finalize(feed(HUGE * 1e-150))
+        assert np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +18,33 @@ def block_moments(rows):
     state = streaming.MomentState()
     state.update(np.asarray(rows, dtype=np.float64))
     return streaming.finalize(state)
+
+
+def random_transform(rng, d, k) -> whitening.WhiteningTransform:
+    """A d -> k transform with a random mean and matrix, as apply sees it."""
+    return whitening.WhiteningTransform(
+        mean=rng.standard_normal(d),
+        matrix=rng.standard_normal((d, k)) / np.sqrt(d),
+        input_dim=d,
+        output_dim=k,
+        fit_count=1000,
+        eps=0.0,
+    )
+
+
+def check_batch_matches_single():
+    """Each apply_batch row equals a lone apply call bit for bit, for batch
+    sizes that end a tile early, exactly and just after (tails 1, 63, 64,
+    65 and 129 rows) at 768 -> 256, and for a fitted 9 -> 5 transform."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((37, 9))
+    cases = [(whitening.fit(x, k=5), x)]
+    big = random_transform(rng, 768, 256)
+    cases += [(big, rng.standard_normal((n, 768)) * 3.0 + 1.0) for n in (1, 63, 64, 65, 129)]
+    for t, data in cases:
+        batch = whitening.apply_batch(t, data)
+        for i in range(data.shape[0]):
+            assert np.array_equal(batch[i], whitening.apply(t, data[i])), (t.input_dim, len(data), i)
 
 
 class TestMoments:
@@ -167,12 +200,51 @@ class TestApply:
         assert out.shape == (0, 2)
 
     def test_batch_matches_single_bit_exact(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((37, 9))
-        t = whitening.fit(x, k=5)
-        batch = whitening.apply_batch(t, x)
-        for i in range(x.shape[0]):
-            assert np.array_equal(batch[i], whitening.apply(t, x[i]))
+        # One interpreter per BLAS thread count: OpenBLAS reads it at start-up.
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                [str(Path(whitening.__file__).parents[1]), str(Path(__file__).parent)]
+            ),
+        )
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", "import test_whitening; test_whitening.check_batch_matches_single()"],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, f"OPENBLAS_NUM_THREADS={threads}: {proc.stderr}"
+
+    def test_batch_matches_einsum_reference(self):
+        rng = np.random.default_rng(8)
+        for d, k, n in ((768, 256, 300), (384, 128, 200), (9, 5, 37)):
+            t = random_transform(rng, d, k)
+            data = rng.standard_normal((n, d)) * 2.0 + 5.0
+            reference = np.einsum("ij,jk->ik", data - t.mean, t.matrix)
+            out = whitening.apply_batch(t, data)
+            assert np.max(np.abs(out - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_batch_allocates_output_plus_one_tile(self):
+        rng = np.random.default_rng(9)
+        n, d, k = 5000, 256, 32
+        t = random_transform(rng, d, k)
+        data = rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = whitening.apply_batch(t, data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The einsum over a centred copy allocated n * d * 8 more.
+        assert peak <= out.nbytes + 4 * whitening.TILE_ROWS * d * 8
+
+    def test_batch_nonfinite_in_late_tile(self, transform):
+        data = np.zeros((3 * whitening.TILE_ROWS + 5, 2))
+        data[-2, 1] = np.nan
+        with pytest.raises(errors.NonFinite):
+            whitening.apply_batch(transform, data)
 
     def test_dim_mismatch(self, transform):
         with pytest.raises(errors.DimensionMismatch):
