@@ -31,6 +31,7 @@ from .fileio import (
     read_gold,
     save_transform,
     write_emb1,
+    write_emb1_blocks,
 )
 from .linalg import EigenDecomposition, inv_sqrt_diag, sym_eig
 from .retrieval import (
@@ -38,6 +39,7 @@ from .retrieval import (
     CosineIndex,
     benchmark,
     build_index,
+    build_index_blocks,
     top_k,
     top_k_batch,
 )

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evaluation, fileio, linalg, retrieval, streaming, whitening
-from .errors import WhitevecError
+from .errors import DimensionMismatch, WhitevecError
 from .whitening import FULL
 
 
@@ -55,18 +55,40 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _load_fit_corpus(args, data: evaluation.PairedDataset) -> np.ndarray:
+def _file_moments(path) -> streaming.MomentState:
+    """Moments of an EMB1 file, streamed in READ_ROWS-row blocks."""
+    state = streaming.MomentState()
+    for block in fileio.iter_emb1(path):
+        state.update(block)
+    return state
+
+
+def _load_fit_corpus(args, data: evaluation.PairedDataset) -> streaming.MomentState:
     """--fit target (default) fits on the pair union; --fit FILE on that file."""
     if args.fit == "target":
         return evaluation.fit_corpus(data)
-    return fileio.read_emb1(args.fit)
+    return _file_moments(args.fit)
+
+
+def _emb1_blocks(path, t: whitening.WhiteningTransform | None):
+    """(blocks, count, dim) of an EMB1 file, its blocks whitened by ``t`` if given.
+
+    The header is checked against ``t`` before any block is read, so a
+    file of the wrong width fails even when it has no rows.
+    """
+    header = fileio.read_emb1_header(path)
+    blocks = fileio.iter_emb1(path)
+    if t is None:
+        return blocks, header.count, header.dim
+    if header.dim != t.input_dim:
+        raise DimensionMismatch(
+            f"{path} has dim {header.dim}, transform expects {t.input_dim}"
+        )
+    return (whitening.apply_batch(t, b) for b in blocks), header.count, t.output_dim
 
 
 def cmd_fit(args) -> int:
-    state = streaming.MomentState()
-    for block in fileio.iter_emb1(args.input):
-        state.update(block)
-    t = whitening.fit_from_moments(state, k=args.k, eps=args.eps)
+    t = whitening.fit_from_moments(_file_moments(args.input), k=args.k, eps=args.eps)
     fileio.save_transform(args.out, t)
     print(
         f"fitted on {t.fit_count} vectors: {t.input_dim} -> {t.output_dim} dims",
@@ -77,8 +99,7 @@ def cmd_fit(args) -> int:
 
 def cmd_transform(args) -> int:
     t = fileio.load_transform(args.transform)
-    data = fileio.read_emb1(args.input)
-    fileio.write_emb1(args.out, whitening.apply_batch(t, data), dtype=args.dtype)
+    fileio.write_emb1_blocks(args.out, *_emb1_blocks(args.input, t), dtype=args.dtype)
     return 0
 
 
@@ -95,7 +116,7 @@ def cmd_eval(args) -> int:
     data = _eval_dataset(args)
     transform = None
     if args.k is not None:
-        transform = whitening.fit(_load_fit_corpus(args, data), k=args.k)
+        transform = whitening.fit_from_moments(_load_fit_corpus(args, data), k=args.k)
     report = evaluation.evaluate(data, transform)
     if args.report == "json":
         doc = {
@@ -147,13 +168,12 @@ def cmd_stats(args) -> int:
 
 
 def _load_index_and_queries(args):
-    base = fileio.read_emb1(args.index)
+    t = fileio.load_transform(args.transform) if args.transform else None
+    index = retrieval.build_index_blocks(*_emb1_blocks(args.index, t))
     queries = fileio.read_emb1(args.query)
-    if args.transform:
-        t = fileio.load_transform(args.transform)
-        base = whitening.apply_batch(t, base)
+    if t is not None:
         queries = whitening.apply_batch(t, queries)
-    return retrieval.build_index(base), queries
+    return index, queries
 
 
 def cmd_search(args) -> int:

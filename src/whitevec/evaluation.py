@@ -8,7 +8,9 @@ import numpy as np
 
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
+from .fileio import READ_ROWS
 from .retrieval import ZERO_NORM
+from .streaming import MomentState
 from .whitening import FULL, WhiteningTransform
 
 
@@ -117,21 +119,28 @@ def evaluate(
     """Spearman correlation of per-pair cosine similarity against gold.
 
     Pairs where either (transformed) side has near-zero norm are skipped
-    and counted rather than scored as 0.
+    and counted rather than scored as 0. Pairs are whitened and scored
+    in READ_ROWS-row blocks (every step is row-local, so the scores do
+    not depend on the block size): a transform adds O(READ_ROWS * k)
+    memory, not two N x k copies.
     """
     if transform is not None:
         if transform.input_dim != data.dim:
             raise DimensionMismatch(
                 f"dataset dim {data.dim} != transform input dim {transform.input_dim}"
             )
-        left = whitening.apply_batch(transform, data.left)
-        right = whitening.apply_batch(transform, data.right)
         dim_used = transform.output_dim
     else:
-        left = data.left
-        right = data.right
         dim_used = data.dim
-    cosines, valid = _pair_cosines(left, right)
+    cosines = np.empty(data.n_pairs)
+    valid = np.empty(data.n_pairs, dtype=bool)
+    for start in range(0, data.n_pairs, READ_ROWS):
+        rows = slice(start, start + READ_ROWS)
+        left, right = data.left[rows], data.right[rows]
+        if transform is not None:
+            left = whitening.apply_batch(transform, left)
+            right = whitening.apply_batch(transform, right)
+        cosines[rows], valid[rows] = _pair_cosines(left, right)
     rho = spearman(cosines[valid], data.gold[valid])
     return EvalReport(
         dataset=data.name,
@@ -142,26 +151,36 @@ def evaluate(
     )
 
 
-def fit_corpus(data: PairedDataset) -> np.ndarray:
-    """Default fitting corpus: union of both sides of the pairs."""
-    return np.vstack([data.left, data.right])
+def fit_corpus(data: PairedDataset) -> MomentState:
+    """Default fitting corpus: the moments of both sides of the pairs.
+
+    Left then right rows are folded in READ_ROWS-row blocks, so beyond
+    the dataset this holds one block's temporaries, not a 2N x d stack.
+    """
+    state = MomentState()
+    for side in (data.left, data.right):
+        for start in range(0, data.n_pairs, READ_ROWS):
+            state.update(side[start : start + READ_ROWS])
+    return state
 
 
 def sweep_k(
     data: PairedDataset,
     ks,
-    fit_data: np.ndarray | None = None,
+    fit_data: MomentState | None = None,
     eps: float | None = None,
 ) -> list[tuple[int, float]]:
     """Evaluate across output dimensionalities using one full-rank fit.
 
-    ``ks`` may contain ints and the string "full". Entries above the
-    numerical rank are skipped. Truncation consistency guarantees each
-    entry matches a separately fitted transform of the same k.
+    ``fit_data`` holds the moments of the fitting corpus (default:
+    ``fit_corpus(data)``). ``ks`` may contain ints and the string
+    "full". Entries above the numerical rank are skipped. Truncation
+    consistency guarantees each entry matches a separately fitted
+    transform of the same k.
     """
     if fit_data is None:
         fit_data = fit_corpus(data)
-    full = whitening.fit(fit_data, k=FULL, eps=eps)
+    full = whitening.fit_from_moments(fit_data, k=FULL, eps=eps)
     results: list[tuple[int, float]] = []
     for k in ks:
         k = full.output_dim if k == FULL else int(k)

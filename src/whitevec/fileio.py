@@ -16,17 +16,20 @@ See docs/formats.md for a hex example.
 """
 
 import contextlib
+import errno
 import json
 import math
 import os
+import stat
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (
     BadMagic,
+    DimensionMismatch,
     NonFinite,
     ParseError,
     SchemaMismatch,
@@ -41,18 +44,34 @@ HEADER = struct.Struct("<4sIQIB11s")
 HEADER_SIZE = 32
 DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 DTYPE_CODES = {"float32": 0, "float64": 1}
-# Rows per block when decoding a payload.
+# Rows per block when decoding a payload; a multiple of whitening.TILE_ROWS,
+# so streamed blocks split into whole apply tiles.
 READ_ROWS = 4096
 
 TRANSFORM_FORMAT = "whitening-v1"
 
 
-def _open_payload(f) -> tuple[int, int, np.dtype]:
+class Emb1Header(NamedTuple):
+    """What an EMB1 header declares: row count, row width and payload dtype."""
+
+    count: int
+    dim: int
+    dtype: np.dtype
+
+
+def _open_payload(f) -> Emb1Header:
     """Read the header and check the file holds exactly the declared payload.
 
     The check runs against the file size, so nothing is allocated or
-    yielded for a header that promises more (or less) than is there.
+    yielded for a header that promises more (or less) than is there. A
+    pipe or terminal has no size to check, so it is refused before
+    anything is read from it.
     """
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise OSError(
+            errno.ESPIPE, "EMB1 input is not a regular file; pass a file path", f.name
+        )
     raw = f.read(HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
         raise TruncatedPayload(f"file shorter than the {HEADER_SIZE}-byte header")
@@ -67,10 +86,10 @@ def _open_payload(f) -> tuple[int, int, np.dtype]:
         raise SchemaMismatch("header declares dim 0")
     dtype = DTYPES[dtype_code]
     expected = count * dim * dtype.itemsize
-    actual = os.fstat(f.fileno()).st_size - HEADER_SIZE
+    actual = st.st_size - HEADER_SIZE
     if actual != expected:
         raise TruncatedPayload(f"payload is {actual} bytes, header declares {expected}")
-    return count, dim, dtype
+    return Emb1Header(count, dim, dtype)
 
 
 def _blocks(f, count: int, dim: int, dtype: np.dtype, batch_rows: int):
@@ -84,6 +103,16 @@ def _blocks(f, count: int, dim: int, dtype: np.dtype, batch_rows: int):
         if not np.all(np.isfinite(block)):
             raise NonFinite("embedding payload contains NaN or Inf")
         yield block
+
+
+def read_emb1_header(path) -> Emb1Header:
+    """Check an EMB1 file's header against its size and return it.
+
+    Raises exactly what ``read_emb1`` and ``iter_emb1`` raise for a bad
+    header, without reading the payload.
+    """
+    with open(path, "rb") as f:
+        return _open_payload(f)
 
 
 def read_emb1(path) -> np.ndarray:
@@ -135,19 +164,57 @@ def write_atomic(path, chunks: Iterable) -> None:
         raise
 
 
-def write_emb1(path, data: np.ndarray, dtype: str = "float64") -> None:
-    """Write a matrix as EMB1. float64 round-trips bit-exactly."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] == 0:
-        raise SchemaMismatch(f"expected an N x d matrix, d >= 1, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise NonFinite("refusing to write NaN or Inf values")
+def write_emb1_blocks(
+    path, blocks: Iterable[np.ndarray], count: int, dim: int, dtype: str = "float64"
+) -> None:
+    """Write row blocks as one EMB1 file of ``count`` rows of width ``dim``.
+
+    The header is written first, then each block as it arrives, so memory
+    is one block. Every block must be an (m, dim) matrix whose values are
+    finite in the output dtype (a float64 value beyond the float32 range
+    is refused, not written as Inf), and the blocks must hold exactly
+    ``count`` rows in total. Any failure leaves ``path`` as it was (see
+    ``write_atomic``).
+    """
+    if dim < 1:
+        raise SchemaMismatch(f"EMB1 rows need dim >= 1, got {dim}")
     if dtype not in DTYPE_CODES:
         raise SchemaMismatch(f"dtype must be float32 or float64, got {dtype!r}")
     code = DTYPE_CODES[dtype]
-    count, dim = data.shape
     header = HEADER.pack(MAGIC, VERSION, count, dim, code, b"\x00" * 11)
-    write_atomic(path, [header, np.ascontiguousarray(data, dtype=DTYPES[code])])
+
+    def chunks():
+        yield header
+        written = 0
+        for block in blocks:
+            block = np.asarray(block, dtype=np.float64)
+            if block.ndim != 2 or block.shape[1] != dim:
+                raise DimensionMismatch(
+                    f"block has shape {block.shape}, expected rows of dim {dim}"
+                )
+            written += block.shape[0]
+            if written > count:
+                raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
+            with np.errstate(over="ignore"):
+                out = np.ascontiguousarray(block, dtype=DTYPES[code])
+            if not np.all(np.isfinite(out)):
+                raise NonFinite(f"refusing to write NaN or Inf values (as {dtype})")
+            yield out
+        if written != count:
+            raise DimensionMismatch(f"blocks hold {written} rows, header declares {count}")
+
+    write_atomic(path, chunks())
+
+
+def write_emb1(path, data: np.ndarray, dtype: str = "float64") -> None:
+    """Write a matrix as EMB1, the one-block call of ``write_emb1_blocks``.
+
+    float64 round-trips bit-exactly.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise SchemaMismatch(f"expected an N x d matrix, got shape {data.shape}")
+    write_emb1_blocks(path, [data], data.shape[0], data.shape[1], dtype)
 
 
 def _require(doc: dict, key: str):
@@ -161,6 +228,11 @@ def _positive_int(doc: dict, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise SchemaMismatch(f"{key} must be a positive integer, got {value!r}")
     return value
+
+
+def _numbers(value) -> bool:
+    """True for a JSON list of numbers (bool is not a number here)."""
+    return isinstance(value, list) and set(map(type, value)) <= {int, float}
 
 
 def save_transform(path, t: WhiteningTransform) -> None:
@@ -196,10 +268,15 @@ def load_transform(path) -> WhiteningTransform:
     matrix = _require(doc, "matrix")
     fit_count = _positive_int(doc, "fit_count")
     eps = _require(doc, "eps")
+    # np.array would parse "1" and true as numbers, so check the JSON types.
+    if not _numbers(mean):
+        raise SchemaMismatch("mean must be a list of numbers")
+    if not (isinstance(matrix, list) and all(_numbers(row) for row in matrix)):
+        raise SchemaMismatch("matrix must be a list of rows of numbers")
     try:
         mean = np.array(mean, dtype=np.float64)
         matrix = np.array(matrix, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:
         raise SchemaMismatch(f"mean/matrix are not numeric arrays: {e}") from e
     if mean.shape != (input_dim,):
         raise SchemaMismatch(

@@ -19,6 +19,7 @@ near-ties.
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import DimensionMismatch, EmptyInput, NonFinite, ZeroVector
 ZERO_NORM = 1e-30
 # Queries per score block: 64 x n float32 is 25.6 MB at n = 100k.
 QUERY_TILE = 64
-# Rows per chunk while build_index normalizes, bounding its float64 temporaries.
+# Rows per slice build_index feeds to build_index_blocks.
 BUILD_ROWS = 4096
 # Residue classes whose maxima bound the k-th best score (see _select).
 SELECT_CLASSES = 1024
@@ -63,34 +64,53 @@ class BenchReport:
 def build_index(data: np.ndarray) -> CosineIndex:
     """Normalize rows and store them; zero-norm rows are dropped, not errors.
 
-    Rows are normalized in chunks straight into one float32 array, so the
-    float64 temporaries are O(BUILD_ROWS * d).
+    The matrix form of ``build_index_blocks``: rows go in as BUILD_ROWS-row
+    slices, so the float64 temporaries are O(BUILD_ROWS * d).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    if data.shape[0] == 0:
+    slices = (data[start : start + BUILD_ROWS] for start in range(0, data.shape[0], BUILD_ROWS))
+    return build_index_blocks(slices, data.shape[0], data.shape[1])
+
+
+def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> CosineIndex:
+    """Index ``count`` rows of width ``dim`` that arrive as row blocks.
+
+    Each block is normalized straight into one preallocated float32
+    array, so beyond the index the call holds one block's temporaries.
+    Normalization is row-local: the index equals ``build_index`` of the
+    concatenated blocks bit for bit. The blocks must hold exactly
+    ``count`` rows (DimensionMismatch otherwise).
+    """
+    if count == 0:
         raise EmptyInput("cannot index zero vectors")
-    norms = np.empty(data.shape[0])
-    for start in range(0, data.shape[0], BUILD_ROWS):
-        chunk = data[start : start + BUILD_ROWS]
-        if not np.all(np.isfinite(chunk)):
+    vectors = np.empty((count, dim), dtype=np.float32)
+    ids = np.empty(count, dtype=np.int64)
+    seen = kept = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != dim:
+            raise DimensionMismatch(f"block has shape {block.shape}, expected rows of dim {dim}")
+        m = block.shape[0]
+        if seen + m > count:
+            raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
+        if not np.all(np.isfinite(block)):
             raise NonFinite("embedding matrix contains NaN or Inf")
-        norms[start : start + BUILD_ROWS] = np.linalg.norm(chunk, axis=1)
-    keep = norms >= ZERO_NORM
-    ids = np.flatnonzero(keep).astype(np.int64)
-    vectors = np.empty((ids.size, data.shape[1]), dtype=np.float32)
-    for start in range(0, ids.size, BUILD_ROWS):
-        rows = ids[start : start + BUILD_ROWS]
+        norms = np.linalg.norm(block, axis=1)
+        keep = np.flatnonzero(norms >= ZERO_NORM)
         np.divide(
-            data[rows],
-            norms[rows, np.newaxis],
-            out=vectors[start : start + BUILD_ROWS],
+            block[keep],
+            norms[keep, np.newaxis],
+            out=vectors[kept : kept + keep.size],
             casting="same_kind",
         )
-    return CosineIndex(
-        vectors=vectors, ids=ids, norms_dropped=int(np.sum(~keep))
-    )
+        ids[kept : kept + keep.size] = keep + seen
+        seen += m
+        kept += keep.size
+    if seen != count:
+        raise DimensionMismatch(f"blocks hold {seen} rows, expected {count}")
+    return CosineIndex(vectors=vectors[:kept], ids=ids[:kept], norms_dropped=count - kept)
 
 
 def top_k(index: CosineIndex, query: np.ndarray, k_results: int) -> list[tuple[int, float]]:
@@ -190,32 +210,33 @@ def benchmark(
     k_results: int,
     repetitions: int,
 ) -> BenchReport:
-    """Median-of-repetitions throughput for exact top-k search.
+    """Throughput of exact top-k search, from the median per-query time.
 
     Runs the same top_k code path the normal API uses, so measured speed
     reflects real answers; results are discarded, never altered. Queries
     are timed one at a time: a query's cost is then its GEMV, which scales
     with the index's bytes per vector, while a batched GEMM's cost grows
-    more slowly with d and adds a fixed selection cost per query.
+    more slowly with d and adds a fixed selection cost per query. Every
+    query of every repetition is one sample, and the rate is the inverse
+    of their median, so a burst of other load that slows a few queries
+    does not move it.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[0] == 0:
         raise EmptyInput("benchmark needs at least one query")
     if repetitions < 3:
         raise EmptyInput(f"repetitions must be >= 3, got {repetitions}")
-    n_queries = queries.shape[0]
 
     times = []
     for _ in range(repetitions):
-        start = time.perf_counter()
         for q in queries:
+            start = time.perf_counter()
             top_k(index, q, k_results)
-        times.append(time.perf_counter() - start)
-    median = float(np.median(times))
+            times.append(time.perf_counter() - start)
     return BenchReport(
         n_vectors=index.size,
         dim=index.dim,
-        queries_per_second=n_queries / median,
+        queries_per_second=1.0 / float(np.median(times)),
         bytes_per_vector=index.dim * 4,
         total_index_bytes=index.size * index.dim * 4,
         repetitions=repetitions,

@@ -27,7 +27,7 @@ EPS_SCALE = 1e-12
 FULL = "full"
 
 # Rows per BLAS call in apply_batch; a fixed shape keeps rows bit-exact.
-TILE_ROWS = 64
+TILE_ROWS = 256
 
 
 @dataclass(frozen=True)

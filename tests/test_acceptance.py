@@ -169,7 +169,7 @@ def test_c6_synthetic_anisotropy_recovery():
         left=embed(z_left), right=embed(z_right), gold=gold, name="anisotropic"
     )
     rho_raw = evaluation.evaluate(data).spearman_rho
-    t = whitening.fit(evaluation.fit_corpus(data), k=latent)
+    t = whitening.fit_from_moments(evaluation.fit_corpus(data), k=latent)
     rho_white = evaluation.evaluate(data, t).spearman_rho
     assert rho_white - rho_raw >= 0.10
     print(
@@ -214,7 +214,7 @@ def test_c8_truncation_consistency():
     gold = rng.uniform(0, 5, 80)
     data = PairedDataset(left=left, right=right, gold=gold)
     sweep = evaluation.sweep_k(data, ["full"])
-    t = whitening.fit(evaluation.fit_corpus(data), k="full")
+    t = whitening.fit_from_moments(evaluation.fit_corpus(data), k="full")
     direct = evaluation.evaluate(data, t).spearman_rho
     assert sweep[0][1] == direct
     print("PASS criterion 8: k-truncation and sweep==evaluate are bit-exact")

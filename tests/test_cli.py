@@ -1,9 +1,11 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from whitevec import fileio, retrieval, whitening
+from whitevec import evaluation, fileio, retrieval, whitening
 from whitevec.cli import run
 from whitevec.evaluation import cosine_similarity
 
@@ -368,3 +370,115 @@ def test_overflowing_moments_are_runtime_errors(tmp_path, command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("NonFinite:") and "overflows float64" in err
     assert not (tmp_path / "w.json").exists()
+
+
+def refuse_bulk_read(monkeypatch, bulk):
+    """Make fileio.read_emb1 fail on ``bulk``, which must be streamed."""
+    real = fileio.read_emb1
+
+    def read(path):
+        if Path(path) == Path(bulk):
+            raise AssertionError(f"{bulk} must be streamed, not loaded whole")
+        return real(path)
+
+    monkeypatch.setattr(fileio, "read_emb1", read)
+
+
+@pytest.fixture
+def fitted(workdir):
+    wpath = workdir / "w.json"
+    assert run(["fit", "--input", str(workdir / "data.emb1"), "--k", "3",
+                "--out", str(wpath)]) == 0
+    return wpath
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n", [0, 4095, 4096, 4097, 8193])
+def test_transform_streams_blocks_byte_identical(workdir, fitted, monkeypatch, n, dtype):
+    src, out, ref = workdir / "in.emb1", workdir / "out.emb1", workdir / "ref.emb1"
+    rng = np.random.default_rng(n)
+    fileio.write_emb1(src, rng.standard_normal((n, 4)) * 5.0 + 2.0, dtype="float32")
+    t = fileio.load_transform(fitted)
+    fileio.write_emb1(ref, whitening.apply_batch(t, fileio.read_emb1(src)), dtype=dtype)
+    refuse_bulk_read(monkeypatch, src)
+    assert run(["transform", "--input", str(src), "--transform", str(fitted),
+                "--out", str(out), "--dtype", dtype]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_transform_zero_rows_of_wrong_dim(workdir, fitted, capsys):
+    src, out = workdir / "in.emb1", workdir / "out.emb1"
+    fileio.write_emb1(src, np.empty((0, 3)))
+    assert run(["transform", "--input", str(src), "--transform", str(fitted),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("DimensionMismatch:")
+    assert not out.exists()
+
+
+def test_transform_nan_in_late_block_keeps_old_output(workdir, fitted, capsys):
+    src, out = workdir / "in.emb1", workdir / "out.emb1"
+    fileio.write_emb1(src, np.ones((3 * fileio.READ_ROWS + 5, 4)))
+    raw = bytearray(src.read_bytes())
+    raw[-8:] = np.array([np.nan]).tobytes()
+    src.write_bytes(bytes(raw))
+    out.write_bytes(b"previous contents\n")
+    before = sorted(os.listdir(workdir))
+    assert run(["transform", "--input", str(src), "--transform", str(fitted),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("NonFinite:")
+    assert out.read_bytes() == b"previous contents\n"
+    assert sorted(os.listdir(workdir)) == before
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_search_streams_index(workdir, fitted, monkeypatch, capsys, with_transform):
+    """A multi-block index with zero rows on both sides of a block edge."""
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal((fileio.READ_ROWS + 50, 4)) @ rng.standard_normal((4, 4)) + 3.0
+    if with_transform:
+        t = fileio.load_transform(fitted)
+        base[fileio.READ_ROWS - 1 : fileio.READ_ROWS + 1] = t.mean  # whitened to zero
+    else:
+        base[fileio.READ_ROWS - 1 : fileio.READ_ROWS + 1] = 0.0
+    queries = rng.standard_normal((30, 4)) + 3.0
+    fileio.write_emb1(workdir / "base.emb1", base)
+    fileio.write_emb1(workdir / "q.emb1", queries)
+    argv = ["search", "--index", str(workdir / "base.emb1"),
+            "--query", str(workdir / "q.emb1"), "--top", "5"]
+    base, queries = fileio.read_emb1(workdir / "base.emb1"), fileio.read_emb1(workdir / "q.emb1")
+    if with_transform:
+        argv += ["--transform", str(fitted)]
+        base, queries = whitening.apply_batch(t, base), whitening.apply_batch(t, queries)
+    index = retrieval.build_index(base)
+    assert index.norms_dropped == 2
+    expected = "".join(
+        f"{row}\t{rank}\t{i}\t{s:.6f}\n"
+        for row, hits in enumerate(retrieval.top_k_batch(index, queries, 5))
+        for rank, (i, s) in enumerate(hits, start=1)
+    )
+    refuse_bulk_read(monkeypatch, workdir / "base.emb1")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_search_index_of_wrong_dim_for_transform(workdir, fitted, capsys):
+    fileio.write_emb1(workdir / "base.emb1", np.empty((0, 3)))
+    fileio.write_emb1(workdir / "q.emb1", np.ones((1, 4)))
+    assert run(["search", "--index", str(workdir / "base.emb1"), "--transform", str(fitted),
+                "--query", str(workdir / "q.emb1")]) == 1
+    assert capsys.readouterr().err.startswith("DimensionMismatch:")
+
+
+def test_eval_fit_file_streams(workdir, monkeypatch, capsys):
+    data = evaluation.PairedDataset(
+        left=fileio.read_emb1(workdir / "left.emb1"),
+        right=fileio.read_emb1(workdir / "right.emb1"),
+        gold=fileio.read_gold(workdir / "gold.txt"),
+    )
+    t = whitening.fit(fileio.read_emb1(workdir / "data.emb1"), k=3)
+    expected = evaluation.evaluate(data, t).rho_x100
+    refuse_bulk_read(monkeypatch, workdir / "data.emb1")
+    assert run(["eval", "--left", str(workdir / "left.emb1"),
+                "--right", str(workdir / "right.emb1"), "--gold", str(workdir / "gold.txt"),
+                "--fit", str(workdir / "data.emb1"), "--k", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["spearman_rho_x100"] == round(expected, 5)

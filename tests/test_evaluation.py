@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from whitevec import errors, evaluation, whitening
+from whitevec import errors, evaluation, fileio, streaming, whitening
 from whitevec.evaluation import PairedDataset, cosine_similarity, spearman
 
 
@@ -132,7 +132,7 @@ class TestEvaluate:
     def test_transform_equals_pretransformed_inputs(self):
         rng = np.random.default_rng(5)
         data = self.make_dataset(rng)
-        t = whitening.fit(evaluation.fit_corpus(data), k=4)
+        t = whitening.fit_from_moments(evaluation.fit_corpus(data), k=4)
         direct = evaluation.evaluate(data, t)
         pre = PairedDataset(
             left=whitening.apply_batch(t, data.left),
@@ -187,7 +187,7 @@ class TestSweep:
         rng = np.random.default_rng(8)
         data = self.make_anisotropic(rng)
         results = evaluation.sweep_k(data, ["full"])
-        t = whitening.fit(evaluation.fit_corpus(data), k="full")
+        t = whitening.fit_from_moments(evaluation.fit_corpus(data), k="full")
         assert results[0][0] == t.output_dim
         assert results[0][1] == evaluation.evaluate(data, t).spearman_rho
 
@@ -196,7 +196,7 @@ class TestSweep:
         data = self.make_anisotropic(rng)
         results = dict(evaluation.sweep_k(data, [2, 4]))
         for k in (2, 4):
-            t = whitening.fit(evaluation.fit_corpus(data), k=k)
+            t = whitening.fit_from_moments(evaluation.fit_corpus(data), k=k)
             assert results[k] == evaluation.evaluate(data, t).spearman_rho
 
     def test_signal_concentrated_in_top_dims(self):
@@ -205,6 +205,34 @@ class TestSweep:
         results = dict(evaluation.sweep_k(data, [2, "full"]))
         full_k = max(results)
         assert results[2] >= results[full_k] - 0.01
+
+    def test_fit_corpus_blocks_match_stacked_pairs(self):
+        """Both sides folded in blocks give the moments and rho of one 2N x d stack."""
+        rng = np.random.default_rng(12)
+        n = fileio.READ_ROWS + 100
+        data = self.make_anisotropic(rng, n=n)
+        stacked = np.vstack([data.left, data.right])
+        state = evaluation.fit_corpus(data)
+        mean, cov = streaming.finalize(state)
+        assert state.count == 2 * n
+        assert np.max(np.abs(mean - stacked.mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(cov - np.cov(stacked, rowvar=False, bias=True))) <= 1e-10
+        rho = dict(evaluation.sweep_k(data, [2]))[2]
+        ref = evaluation.evaluate(data, whitening.fit(stacked, k=2)).spearman_rho
+        assert abs(rho - ref) <= 1e-9
+
+    def test_blocked_scoring_equals_whole_arrays(self):
+        rng = np.random.default_rng(13)
+        data = self.make_anisotropic(rng, n=2 * fileio.READ_ROWS + 3)
+        t = whitening.fit_from_moments(evaluation.fit_corpus(data), k=2)
+        pre = PairedDataset(
+            left=whitening.apply_batch(t, data.left),
+            right=whitening.apply_batch(t, data.right),
+            gold=data.gold,
+        )
+        cosines, valid = evaluation._pair_cosines(pre.left, pre.right)
+        expected = spearman(cosines[valid], data.gold[valid])
+        assert evaluation.evaluate(data, t).spearman_rho == expected
 
     def test_above_rank_skipped(self):
         rng = np.random.default_rng(11)

@@ -332,3 +332,68 @@ class TestAtomicWrite:
     def test_non_regular_target_written_in_place(self):
         fileio.write_atomic(os.devnull, [b"discarded"])
         assert not os.path.isfile(os.devnull)
+
+
+class TestBlockWriter:
+    def test_blocks_equal_one_array(self, tmp_path):
+        data = np.random.default_rng(2).standard_normal((11, 3))
+        for dtype in ("float32", "float64"):
+            fileio.write_emb1(tmp_path / "one.emb1", data, dtype=dtype)
+            blocks = [data[:4], data[4:4], data[4:]]
+            fileio.write_emb1_blocks(tmp_path / "many.emb1", blocks, 11, 3, dtype=dtype)
+            assert (tmp_path / "many.emb1").read_bytes() == (tmp_path / "one.emb1").read_bytes()
+
+    def test_no_blocks_writes_zero_rows(self, tmp_path):
+        fileio.write_emb1_blocks(tmp_path / "empty.emb1", [], 0, 5)
+        assert fileio.read_emb1_header(tmp_path / "empty.emb1") == (0, 5, np.dtype("<f8"))
+
+    @pytest.mark.parametrize("rows", [[2, 2], [2, 2, 2, 1], []])
+    def test_declared_count_enforced(self, tmp_path, rows):
+        """Five rows are declared; too few or too many leave no file."""
+        blocks = (np.ones((m, 2)) for m in rows)
+        with pytest.raises(errors.DimensionMismatch, match="5"):
+            fileio.write_emb1_blocks(tmp_path / "out.emb1", blocks, 5, 2)
+        assert os.listdir(tmp_path) == []
+
+    def test_block_width_checked(self, tmp_path):
+        with pytest.raises(errors.DimensionMismatch):
+            fileio.write_emb1_blocks(tmp_path / "out.emb1", [np.ones((2, 2)), np.ones((2, 3))], 4, 2)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_float32_overflow_refused(self, tmp_path):
+        """A finite float64 beyond the float32 range would be written as Inf."""
+        with pytest.raises(errors.NonFinite):
+            fileio.write_emb1(tmp_path / "out.emb1", np.array([[1.0, 1e39]]), dtype="float32")
+        fileio.write_emb1(tmp_path / "out.emb1", np.array([[1.0, 1e39]]))
+        assert fileio.read_emb1(tmp_path / "out.emb1")[0, 1] == 1e39
+
+
+def test_header_read_alone(tmp_path):
+    path = tmp_path / "m.emb1"
+    fileio.write_emb1(path, np.ones((7, 3)), dtype="float32")
+    header = fileio.read_emb1_header(path)
+    assert (header.count, header.dim, header.dtype) == (7, 3, np.dtype("<f4"))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(errors.TruncatedPayload):
+        fileio.read_emb1_header(path)
+
+
+def test_pipe_input_is_not_a_regular_file(capsys):
+    r, w = os.pipe()
+    try:
+        os.write(w, emb1_header(4_800_000, 8))
+        path = f"/dev/fd/{r}"
+        for read in (fileio.read_emb1, fileio.read_emb1_header, lambda p: next(fileio.iter_emb1(p))):
+            with pytest.raises(OSError, match="not a regular file"):
+                read(path)
+        assert run(["stats", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IOError:") and "not a regular file" in err
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_read_block_is_whole_apply_tiles():
+    assert fileio.READ_ROWS % whitening.TILE_ROWS == 0

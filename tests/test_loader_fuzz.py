@@ -12,6 +12,7 @@ eval` must return 0, 1 or 2 without raising.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,8 +92,21 @@ def _outcome(fn):
         return e
 
 
+def _doc(**fields) -> bytes:
+    doc = {"format": "whitening-v1", "input_dim": 2, "output_dim": 1,
+           "mean": [1.0, 2.0], "matrix": [[1.0], [0.5]], "fit_count": 10, "eps": 0.0}
+    return json.dumps({**doc, **fields}).encode("utf-8")
+
+
+# np.array(..., dtype=float64) parses these as numbers.
+STRING_MEAN = _doc(mean=["1", "2"])
+BOOL_MATRIX = _doc(matrix=[[True], [False]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw=transform_json())
+@example(raw=STRING_MEAN)
+@example(raw=BOOL_MATRIX)
 @example(raw=DEEP)
 @example(raw=b'{"a":' * 100_000)
 @example(raw=LONG_INT)
@@ -108,6 +122,20 @@ def test_transform_loader_raises_only_typed_errors(tmp_path_factory, raw):
     argv = ["transform", "--input", str(data), "--transform", str(path),
             "--out", str(work / "y.emb1")]
     assert run(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [STRING_MEAN, BOOL_MATRIX, _doc(mean=[1.0, None]), _doc(matrix=[[1.0], ["0.5"]]),
+     _doc(mean=[True, 2.0]), _doc(matrix=[1.0, 0.5])],
+)
+def test_non_number_elements_are_schema_mismatch(tmp_path, raw):
+    path = tmp_path / "w.json"
+    path.write_bytes(raw)
+    with pytest.raises(errors.SchemaMismatch):
+        fileio.load_transform(path)
+    path.write_bytes(_doc())
+    assert fileio.load_transform(path).matrix.tolist() == [[1.0], [0.5]]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,35 @@ class TestBuildIndex:
         assert np.array_equal(idx.vectors, vectors)
         assert np.array_equal(idx.ids, ids)
         assert idx.norms_dropped == n - ids.size
+
+    def test_blocks_match_whole_matrix_bit_exact(self):
+        """Uneven blocks, an empty one, and zero rows on both sides of an edge."""
+        rng = np.random.default_rng(12)
+        n, d = 700, 16
+        data = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))
+        data[[0, 299, 300, 301, n - 1]] = 0.0
+        edges = [0, 300, 300, 301, 650, n]
+        blocks = [data[a:b] for a, b in zip(edges, edges[1:])]
+        idx = retrieval.build_index_blocks(iter(blocks), n, d)
+        vectors, ids = whole_matrix_build_index(data)
+        assert np.array_equal(idx.vectors, vectors)
+        assert np.array_equal(idx.ids, ids)
+        assert idx.norms_dropped == 5
+        whole = retrieval.build_index(data)
+        assert np.array_equal(idx.vectors, whole.vectors) and np.array_equal(idx.ids, whole.ids)
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_blocks_must_hold_declared_count(self, count):
+        with pytest.raises(errors.DimensionMismatch, match=str(count)):
+            retrieval.build_index_blocks([np.ones((3, 2)), np.ones((3, 2))], count, 2)
+
+    def test_blocks_checked(self):
+        with pytest.raises(errors.EmptyInput):
+            retrieval.build_index_blocks([], 0, 2)
+        with pytest.raises(errors.DimensionMismatch):
+            retrieval.build_index_blocks([np.ones((3, 3))], 3, 2)
+        with pytest.raises(errors.NonFinite):
+            retrieval.build_index_blocks([np.ones((3, 2)), np.full((1, 2), np.nan)], 4, 2)
 
     def test_nonfinite_in_late_chunk_rejected(self):
         data = np.ones((retrieval.BUILD_ROWS + 3, 4))
@@ -275,3 +306,20 @@ class TestBenchmark:
         idx = retrieval.build_index(rng.standard_normal((10, 4)))
         with pytest.raises(errors.EmptyInput):
             retrieval.benchmark(idx, rng.standard_normal((2, 4)), 1, repetitions=2)
+
+    def test_one_slow_query_does_not_move_rate(self, monkeypatch):
+        """A burst of load that stalls one query per pass leaves the median alone."""
+        rng = np.random.default_rng(7)
+        idx = retrieval.build_index(rng.standard_normal((10, 4)))
+        queries = rng.standard_normal((9, 4))
+        real = retrieval.top_k
+
+        def stalled(index, query, k_results):
+            if query[0] == queries[0, 0]:
+                time.sleep(0.05)
+            return real(index, query, k_results)
+
+        monkeypatch.setattr(retrieval, "top_k", stalled)
+        rep = retrieval.benchmark(idx, queries, 2, repetitions=3)
+        # A whole-pass rate would be at most 9 / 0.05 = 180 queries/s.
+        assert rep.queries_per_second > 1000
