@@ -56,7 +56,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _file_moments(path) -> streaming.MomentState:
-    """Moments of an EMB1 file, streamed in READ_ROWS-row blocks."""
+    """Moments of an EMB1 file, streamed in BLOCK_ROWS-row blocks."""
     state = streaming.MomentState()
     for block in fileio.iter_emb1(path):
         state.update(block)

@@ -8,10 +8,9 @@ import numpy as np
 
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
-from .fileio import READ_ROWS
 from .retrieval import ZERO_NORM
 from .streaming import MomentState
-from .whitening import FULL, WhiteningTransform
+from .whitening import BLOCK_ROWS, FULL, WhiteningTransform
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,8 @@ def evaluate(
 
     Pairs where either (transformed) side has near-zero norm are skipped
     and counted rather than scored as 0. Pairs are whitened and scored
-    in READ_ROWS-row blocks (every step is row-local, so the scores do
-    not depend on the block size): a transform adds O(READ_ROWS * k)
+    in BLOCK_ROWS-row blocks (every step is row-local, so the scores do
+    not depend on the block size): a transform adds O(BLOCK_ROWS * k)
     memory, not two N x k copies.
     """
     if transform is not None:
@@ -134,8 +133,8 @@ def evaluate(
         dim_used = data.dim
     cosines = np.empty(data.n_pairs)
     valid = np.empty(data.n_pairs, dtype=bool)
-    for start in range(0, data.n_pairs, READ_ROWS):
-        rows = slice(start, start + READ_ROWS)
+    for start in range(0, data.n_pairs, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         left, right = data.left[rows], data.right[rows]
         if transform is not None:
             left = whitening.apply_batch(transform, left)
@@ -154,13 +153,13 @@ def evaluate(
 def fit_corpus(data: PairedDataset) -> MomentState:
     """Default fitting corpus: the moments of both sides of the pairs.
 
-    Left then right rows are folded in READ_ROWS-row blocks, so beyond
+    Left then right rows are folded in BLOCK_ROWS-row blocks, so beyond
     the dataset this holds one block's temporaries, not a 2N x d stack.
     """
     state = MomentState()
     for side in (data.left, data.right):
-        for start in range(0, data.n_pairs, READ_ROWS):
-            state.update(side[start : start + READ_ROWS])
+        for start in range(0, data.n_pairs, BLOCK_ROWS):
+            state.update(side[start : start + BLOCK_ROWS])
     return state
 
 

@@ -36,7 +36,7 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .whitening import WhiteningTransform
+from .whitening import BLOCK_ROWS, WhiteningTransform
 
 MAGIC = b"EMB1"
 VERSION = 1
@@ -44,9 +44,6 @@ HEADER = struct.Struct("<4sIQIB11s")
 HEADER_SIZE = 32
 DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 DTYPE_CODES = {"float32": 0, "float64": 1}
-# Rows per block when decoding a payload; a multiple of whitening.TILE_ROWS,
-# so streamed blocks split into whole apply tiles.
-READ_ROWS = 4096
 
 TRANSFORM_FORMAT = "whitening-v1"
 
@@ -121,13 +118,13 @@ def read_emb1(path) -> np.ndarray:
         count, dim, dtype = _open_payload(f)
         data = np.empty((count, dim))
         row = 0
-        for block in _blocks(f, count, dim, dtype, READ_ROWS):
+        for block in _blocks(f, count, dim, dtype, BLOCK_ROWS):
             data[row : row + block.shape[0]] = block
             row += block.shape[0]
     return data
 
 
-def iter_emb1(path, batch_rows: int = READ_ROWS) -> Iterator[np.ndarray]:
+def iter_emb1(path, batch_rows: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
     """Stream an EMB1 file as float64 row blocks without loading it whole."""
     with open(path, "rb") as f:
         count, dim, dtype = _open_payload(f)

@@ -24,12 +24,11 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFinite, ZeroVector
+from .whitening import BLOCK_ROWS
 
 ZERO_NORM = 1e-30
 # Queries per score block: 64 x n float32 is 25.6 MB at n = 100k.
 QUERY_TILE = 64
-# Rows per slice build_index feeds to build_index_blocks.
-BUILD_ROWS = 4096
 # Residue classes whose maxima bound the k-th best score (see _select).
 SELECT_CLASSES = 1024
 
@@ -64,13 +63,13 @@ class BenchReport:
 def build_index(data: np.ndarray) -> CosineIndex:
     """Normalize rows and store them; zero-norm rows are dropped, not errors.
 
-    The matrix form of ``build_index_blocks``: rows go in as BUILD_ROWS-row
-    slices, so the float64 temporaries are O(BUILD_ROWS * d).
+    The matrix form of ``build_index_blocks``: rows go in as BLOCK_ROWS-row
+    slices, so the float64 temporaries are O(BLOCK_ROWS * d).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    slices = (data[start : start + BUILD_ROWS] for start in range(0, data.shape[0], BUILD_ROWS))
+    slices = (data[start : start + BLOCK_ROWS] for start in range(0, data.shape[0], BLOCK_ROWS))
     return build_index_blocks(slices, data.shape[0], data.shape[1])
 
 

@@ -28,6 +28,10 @@ FULL = "full"
 
 # Rows per BLAS call in apply_batch; a fixed shape keeps rows bit-exact.
 TILE_ROWS = 256
+# Rows per block wherever bulk rows are streamed: EMB1 decoding, index
+# building, pair scoring. A multiple of TILE_ROWS, so blocks split into
+# whole apply tiles.
+BLOCK_ROWS = 16 * TILE_ROWS
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransf
     The moments come from a one-block ``MomentState``; see
     ``fit_from_moments`` for ``k`` and ``eps``.
     """
+    if isinstance(data, MomentState):
+        raise InvalidParameter("fit takes an N x d matrix; fit moments with fit_from_moments")
     state = MomentState()
     state.update(_as_matrix(data))
     return fit_from_moments(state, k, eps)
@@ -76,8 +82,11 @@ def fit_from_moments(
     exceeds ``max(eps, d * machine_eps * lam_max)``: at or below that its
     inverse square root amplifies round-off. Asking for more than the
     rank raises RankDeficient rather than silently truncating. ``eps``
-    must be finite and >= 0 (InvalidParameter otherwise).
+    must be finite and >= 0 (InvalidParameter otherwise), and ``state``
+    a ``MomentState``.
     """
+    if not isinstance(state, MomentState):
+        raise InvalidParameter(f"expected a MomentState, got {type(state).__name__}")
     if eps is not None and not (math.isfinite(eps) and eps >= 0.0):
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps!r}")
     n, d = state.count, state.dim

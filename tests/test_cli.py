@@ -417,7 +417,7 @@ def test_transform_zero_rows_of_wrong_dim(workdir, fitted, capsys):
 
 def test_transform_nan_in_late_block_keeps_old_output(workdir, fitted, capsys):
     src, out = workdir / "in.emb1", workdir / "out.emb1"
-    fileio.write_emb1(src, np.ones((3 * fileio.READ_ROWS + 5, 4)))
+    fileio.write_emb1(src, np.ones((3 * whitening.BLOCK_ROWS + 5, 4)))
     raw = bytearray(src.read_bytes())
     raw[-8:] = np.array([np.nan]).tobytes()
     src.write_bytes(bytes(raw))
@@ -434,12 +434,12 @@ def test_transform_nan_in_late_block_keeps_old_output(workdir, fitted, capsys):
 def test_search_streams_index(workdir, fitted, monkeypatch, capsys, with_transform):
     """A multi-block index with zero rows on both sides of a block edge."""
     rng = np.random.default_rng(8)
-    base = rng.standard_normal((fileio.READ_ROWS + 50, 4)) @ rng.standard_normal((4, 4)) + 3.0
+    base = rng.standard_normal((whitening.BLOCK_ROWS + 50, 4)) @ rng.standard_normal((4, 4)) + 3.0
     if with_transform:
         t = fileio.load_transform(fitted)
-        base[fileio.READ_ROWS - 1 : fileio.READ_ROWS + 1] = t.mean  # whitened to zero
+        base[whitening.BLOCK_ROWS - 1 : whitening.BLOCK_ROWS + 1] = t.mean  # whitened to zero
     else:
-        base[fileio.READ_ROWS - 1 : fileio.READ_ROWS + 1] = 0.0
+        base[whitening.BLOCK_ROWS - 1 : whitening.BLOCK_ROWS + 1] = 0.0
     queries = rng.standard_normal((30, 4)) + 3.0
     fileio.write_emb1(workdir / "base.emb1", base)
     fileio.write_emb1(workdir / "q.emb1", queries)

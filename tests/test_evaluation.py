@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from whitevec import errors, evaluation, fileio, streaming, whitening
+from whitevec import errors, evaluation, streaming, whitening
 from whitevec.evaluation import PairedDataset, cosine_similarity, spearman
 
 
@@ -209,7 +209,7 @@ class TestSweep:
     def test_fit_corpus_blocks_match_stacked_pairs(self):
         """Both sides folded in blocks give the moments and rho of one 2N x d stack."""
         rng = np.random.default_rng(12)
-        n = fileio.READ_ROWS + 100
+        n = whitening.BLOCK_ROWS + 100
         data = self.make_anisotropic(rng, n=n)
         stacked = np.vstack([data.left, data.right])
         state = evaluation.fit_corpus(data)
@@ -223,7 +223,7 @@ class TestSweep:
 
     def test_blocked_scoring_equals_whole_arrays(self):
         rng = np.random.default_rng(13)
-        data = self.make_anisotropic(rng, n=2 * fileio.READ_ROWS + 3)
+        data = self.make_anisotropic(rng, n=2 * whitening.BLOCK_ROWS + 3)
         t = whitening.fit_from_moments(evaluation.fit_corpus(data), k=2)
         pre = PairedDataset(
             left=whitening.apply_batch(t, data.left),
@@ -233,6 +233,12 @@ class TestSweep:
         cosines, valid = evaluation._pair_cosines(pre.left, pre.right)
         expected = spearman(cosines[valid], data.gold[valid])
         assert evaluation.evaluate(data, t).spearman_rho == expected
+
+    def test_fit_data_must_be_moments(self):
+        rng = np.random.default_rng(14)
+        data = self.make_anisotropic(rng)
+        with pytest.raises(errors.InvalidParameter):
+            evaluation.sweep_k(data, [2], fit_data=np.vstack([data.left, data.right]))
 
     def test_above_rank_skipped(self):
         rng = np.random.default_rng(11)

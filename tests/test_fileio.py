@@ -393,7 +393,3 @@ def test_pipe_input_is_not_a_regular_file(capsys):
     finally:
         os.close(r)
         os.close(w)
-
-
-def test_read_block_is_whole_apply_tiles():
-    assert fileio.READ_ROWS % whitening.TILE_ROWS == 0

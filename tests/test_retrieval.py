@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from whitevec import errors, retrieval
+from whitevec import errors, retrieval, whitening
 
 
 def gemv_top_k(index, query, k_results):
@@ -94,7 +94,7 @@ class TestBuildIndex:
         with pytest.raises(errors.EmptyInput):
             retrieval.build_index(np.empty((0, 4)))
 
-    @pytest.mark.parametrize("n", [1, retrieval.BUILD_ROWS + 7])
+    @pytest.mark.parametrize("n", [1, whitening.BLOCK_ROWS + 7])
     def test_chunked_matches_whole_matrix_bit_exact(self, n):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((n, 24)) * rng.uniform(1e-3, 1e3, (n, 1))
@@ -136,7 +136,7 @@ class TestBuildIndex:
             retrieval.build_index_blocks([np.ones((3, 2)), np.full((1, 2), np.nan)], 4, 2)
 
     def test_nonfinite_in_late_chunk_rejected(self):
-        data = np.ones((retrieval.BUILD_ROWS + 3, 4))
+        data = np.ones((whitening.BLOCK_ROWS + 3, 4))
         data[-1, 2] = np.inf
         with pytest.raises(errors.NonFinite):
             retrieval.build_index(data)

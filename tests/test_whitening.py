@@ -33,24 +33,20 @@ def random_transform(rng, d, k) -> whitening.WhiteningTransform:
 
 
 def check_batch_matches_single():
-    """apply_batch rows equal lone apply calls bit for bit, for batch sizes
-    that end a tile early, exactly and just after (1, T - 1, T, T + 1 and
-    2T + 1 rows for T = TILE_ROWS) at 768 -> 256, and for a fitted 9 -> 5
-    transform. Every row of the small case is checked; in the large cases
-    the rows at each tile edge and a random sample, as each lone call
-    costs one whole-tile GEMM."""
+    """Each apply_batch row equals a lone apply call bit for bit, for batch
+    sizes that end a tile early, exactly and just after (1, T - 1, T, T + 1
+    and 2T + 1 rows for T = TILE_ROWS) at 768 -> 256, and for a fitted
+    9 -> 5 transform."""
     rng = np.random.default_rng(4)
     x = rng.standard_normal((37, 9))
-    cases = [(whitening.fit(x, k=5), x, range(37))]
+    cases = [(whitening.fit(x, k=5), x)]
     big = random_transform(rng, 768, 256)
     tile = whitening.TILE_ROWS
-    for n in (1, tile - 1, tile, tile + 1, 2 * tile + 1):
-        edges = {0, 1, tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile, n - 2, n - 1}
-        rows = sorted({i for i in edges if 0 <= i < n} | set(rng.integers(0, n, 6).tolist()))
-        cases.append((big, rng.standard_normal((n, 768)) * 3.0 + 1.0, rows))
-    for t, data, rows in cases:
+    sizes = (1, tile - 1, tile, tile + 1, 2 * tile + 1)
+    cases += [(big, rng.standard_normal((n, 768)) * 3.0 + 1.0) for n in sizes]
+    for t, data in cases:
         batch = whitening.apply_batch(t, data)
-        for i in rows:
+        for i in range(data.shape[0]):
             assert np.array_equal(batch[i], whitening.apply(t, data[i])), (t.input_dim, len(data), i)
 
 
@@ -316,3 +312,11 @@ class TestFitFromMoments:
         state.update(FOUR_POINTS)
         with pytest.raises(errors.DimensionMismatch):
             whitening.fit_from_moments(state, k=3)
+
+    def test_matrix_and_moments_not_interchangeable(self):
+        state = streaming.MomentState()
+        state.update(FOUR_POINTS)
+        with pytest.raises(errors.InvalidParameter):
+            whitening.fit_from_moments(FOUR_POINTS, k="full")
+        with pytest.raises(errors.InvalidParameter):
+            whitening.fit(state, k="full")
