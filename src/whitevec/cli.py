@@ -8,7 +8,6 @@ stdout (or --out); diagnostics go to stderr, prefixed with the error code.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,19 +30,25 @@ def _k_arg(value: str):
 
 
 def _ks_arg(value: str):
-    return [_k_arg(tok) for tok in value.split(",") if tok.strip()]
+    ks = [_k_arg(tok) for tok in value.split(",") if tok.strip()]
+    if not ks:
+        raise argparse.ArgumentTypeError(f"expected at least one k, got {value!r}")
+    return ks
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    def integer(value: str) -> int:
+        n = int(value)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {n}")
+        return n
+
+    return integer
 
 
 def _eps_arg(value: str) -> float:
     eps = float(value)
-    if not (math.isfinite(eps) and eps >= 0.0):
+    if not whitening.valid_eps(eps):
         raise argparse.ArgumentTypeError(f"eps must be finite and >= 0, got {value!r}")
     return eps
 
@@ -108,7 +113,6 @@ def _eval_dataset(args) -> evaluation.PairedDataset:
         left=fileio.read_emb1(args.left),
         right=fileio.read_emb1(args.right),
         gold=fileio.read_gold(args.gold),
-        name=args.dataset,
     )
 
 
@@ -120,7 +124,7 @@ def cmd_eval(args) -> int:
     report = evaluation.evaluate(data, transform)
     if args.report == "json":
         doc = {
-            "dataset": report.dataset,
+            "dataset": args.dataset,
             "n_pairs": report.n_pairs,
             "skipped": report.skipped,
             "k": report.dim_used,
@@ -129,7 +133,7 @@ def cmd_eval(args) -> int:
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
         _emit(
-            f"{report.dataset}\t{report.n_pairs}\t{report.skipped}\t"
+            f"{args.dataset}\t{report.n_pairs}\t{report.skipped}\t"
             f"{report.dim_used}\t{report.rho_x100:.5f}\n",
             args.out,
         )
@@ -151,7 +155,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stats(args) -> int:
     state = streaming.MomentState()
-    for block in fileio.iter_emb1(args.input, batch_rows=args.batch):
+    for block in fileio.iter_emb1(args.input):
         for row in block:
             state.update(row)
     mean, cov = streaming.finalize(state)
@@ -224,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="target",
             help="'target' = fit on the evaluation pairs; or an EMB1 file path",
         )
-        p.add_argument("--dataset", default="dataset", help="name used in reports")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval", help="Spearman correlation of cosine vs gold")
@@ -236,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="whitening output dim or 'full'; omit to evaluate raw embeddings",
     )
     p.add_argument("--report", choices=["json", "tsv"], default="json")
+    p.add_argument("--dataset", default="dataset", help="name used in the report")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="evaluate across output dimensionalities")
@@ -247,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="streaming moment summary of an EMB1 file")
     p.add_argument("--input", required=True)
-    p.add_argument("--batch", type=_positive_int, default=4096)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--index", required=True, help="EMB1 file to search over")
         p.add_argument("--transform", default=None, help="optional transform JSON")
         p.add_argument("--query", required=True, help="EMB1 file of queries")
-        p.add_argument("--top", type=_positive_int, default=10)
+        p.add_argument("--top", type=_int_at_least(1), default=10)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("search", help="exact top-k cosine search")
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="throughput benchmark for exact search")
     add_search_inputs(p)
-    p.add_argument("--reps", type=_positive_int, default=5)
+    p.add_argument("--reps", type=_int_at_least(retrieval.MIN_REPETITIONS), default=5)
     p.set_defaults(func=cmd_bench)
 
     return parser

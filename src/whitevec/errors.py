@@ -54,7 +54,7 @@ class DegenerateInput(WhitevecError):
 
 
 class InvalidParameter(WhitevecError):
-    """A numeric parameter is outside its valid range."""
+    """A numeric parameter has the wrong type or is outside its valid range."""
 
     code = "InvalidParameter"
 

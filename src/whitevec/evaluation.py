@@ -10,7 +10,7 @@ from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import ZERO_NORM
 from .streaming import MomentState
-from .whitening import BLOCK_ROWS, FULL, WhiteningTransform
+from .whitening import BLOCK_ROWS, FULL, WhiteningTransform, require_int
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,6 @@ class PairedDataset:
     left: np.ndarray
     right: np.ndarray
     gold: np.ndarray
-    name: str = "dataset"
 
     def __post_init__(self):
         left = np.asarray(self.left, dtype=np.float64)
@@ -54,7 +53,6 @@ class PairedDataset:
 
 @dataclass(frozen=True)
 class EvalReport:
-    dataset: str
     spearman_rho: float
     n_pairs: int
     skipped: int
@@ -142,7 +140,6 @@ def evaluate(
         cosines[rows], valid[rows] = _pair_cosines(left, right)
     rho = spearman(cosines[valid], data.gold[valid])
     return EvalReport(
-        dataset=data.name,
         spearman_rho=rho,
         n_pairs=data.n_pairs,
         skipped=int(np.sum(~valid)),
@@ -164,25 +161,24 @@ def fit_corpus(data: PairedDataset) -> MomentState:
 
 
 def sweep_k(
-    data: PairedDataset,
-    ks,
-    fit_data: MomentState | None = None,
-    eps: float | None = None,
+    data: PairedDataset, ks, fit_data: MomentState | None = None
 ) -> list[tuple[int, float]]:
     """Evaluate across output dimensionalities using one full-rank fit.
 
     ``fit_data`` holds the moments of the fitting corpus (default:
-    ``fit_corpus(data)``). ``ks`` may contain ints and the string
-    "full". Entries above the numerical rank are skipped. Truncation
+    ``fit_corpus(data)``). ``ks`` may contain integers and the string
+    "full"; any other entry raises InvalidParameter before the fit.
+    Entries above the numerical rank are skipped. Truncation
     consistency guarantees each entry matches a separately fitted
     transform of the same k.
     """
+    ks = [k if k == FULL else require_int(k, "k") for k in ks]
     if fit_data is None:
         fit_data = fit_corpus(data)
-    full = whitening.fit_from_moments(fit_data, k=FULL, eps=eps)
+    full = whitening.fit_from_moments(fit_data, k=FULL)
     results: list[tuple[int, float]] = []
     for k in ks:
-        k = full.output_dim if k == FULL else int(k)
+        k = full.output_dim if k == FULL else k
         if not 1 <= k <= full.output_dim:
             continue
         report = evaluate(data, whitening.truncate(full, k))

@@ -36,7 +36,7 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .whitening import BLOCK_ROWS, WhiteningTransform
+from .whitening import BLOCK_ROWS, WhiteningTransform, valid_eps
 
 MAGIC = b"EMB1"
 VERSION = 1
@@ -89,10 +89,10 @@ def _open_payload(f) -> Emb1Header:
     return Emb1Header(count, dim, dtype)
 
 
-def _blocks(f, count: int, dim: int, dtype: np.dtype, batch_rows: int):
-    """Yield the payload as finite (rows, dim) blocks in the file's dtype."""
-    for start in range(0, count, batch_rows):
-        rows = min(batch_rows, count - start)
+def _blocks(f, count: int, dim: int, dtype: np.dtype):
+    """Yield the payload as finite BLOCK_ROWS-row blocks in the file's dtype."""
+    for start in range(0, count, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, count - start)
         raw = f.read(rows * dim * dtype.itemsize)
         if len(raw) != rows * dim * dtype.itemsize:
             raise TruncatedPayload("file shrank while it was being read")
@@ -118,17 +118,17 @@ def read_emb1(path) -> np.ndarray:
         count, dim, dtype = _open_payload(f)
         data = np.empty((count, dim))
         row = 0
-        for block in _blocks(f, count, dim, dtype, BLOCK_ROWS):
+        for block in _blocks(f, count, dim, dtype):
             data[row : row + block.shape[0]] = block
             row += block.shape[0]
     return data
 
 
-def iter_emb1(path, batch_rows: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
-    """Stream an EMB1 file as float64 row blocks without loading it whole."""
+def iter_emb1(path) -> Iterator[np.ndarray]:
+    """Stream an EMB1 file as float64 BLOCK_ROWS-row blocks without loading it whole."""
     with open(path, "rb") as f:
         count, dim, dtype = _open_payload(f)
-        for block in _blocks(f, count, dim, dtype, batch_rows):
+        for block in _blocks(f, count, dim, dtype):
             yield block.astype(np.float64)
 
 
@@ -285,16 +285,7 @@ def load_transform(path) -> WhiteningTransform:
         )
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(matrix))):
         raise NonFinite("transform contains NaN or Inf")
-    try:
-        eps_ok = (
-            isinstance(eps, (int, float))
-            and not isinstance(eps, bool)
-            and math.isfinite(eps)
-            and eps >= 0
-        )
-    except OverflowError:  # an integer beyond the float64 range
-        eps_ok = False
-    if not eps_ok:
+    if not valid_eps(eps):
         raise SchemaMismatch("eps must be a finite number >= 0")
     mean.setflags(write=False)
     matrix.setflags(write=False)

@@ -24,13 +24,15 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFinite, ZeroVector
-from .whitening import BLOCK_ROWS
+from .whitening import BLOCK_ROWS, require_int
 
 ZERO_NORM = 1e-30
 # Queries per score block: 64 x n float32 is 25.6 MB at n = 100k.
 QUERY_TILE = 64
 # Residue classes whose maxima bound the k-th best score (see _select).
 SELECT_CLASSES = 1024
+# Fewest passes over the queries that `benchmark` accepts.
+MIN_REPETITIONS = 3
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,8 @@ def top_k_batch(
 
     Returns one list per query, as ``top_k`` would. Raises
     DimensionMismatch for a wrong shape or ``k_results < 1``, NonFinite
-    for NaN/Inf and ZeroVector for a zero-norm query, before any scoring.
+    for NaN/Inf, ZeroVector for a zero-norm query and InvalidParameter
+    for a ``k_results`` that is not an integer, before any scoring.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -148,6 +151,7 @@ def top_k_batch(
     zero = np.flatnonzero(qnorms < ZERO_NORM)
     if zero.size:
         raise ZeroVector(f"zero-norm query at row {zero[0]}")
+    k_results = require_int(k_results, "k_results")
     if k_results < 1:
         raise DimensionMismatch(f"k_results must be >= 1, got {k_results}")
     unit = (queries / qnorms[:, np.newaxis]).astype(np.float32)
@@ -218,13 +222,15 @@ def benchmark(
     more slowly with d and adds a fixed selection cost per query. Every
     query of every repetition is one sample, and the rate is the inverse
     of their median, so a burst of other load that slows a few queries
-    does not move it.
+    does not move it. ``repetitions`` is an integer of at least
+    MIN_REPETITIONS.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[0] == 0:
         raise EmptyInput("benchmark needs at least one query")
-    if repetitions < 3:
-        raise EmptyInput(f"repetitions must be >= 3, got {repetitions}")
+    repetitions = require_int(repetitions, "repetitions")
+    if repetitions < MIN_REPETITIONS:
+        raise EmptyInput(f"repetitions must be >= {MIN_REPETITIONS}, got {repetitions}")
 
     times = []
     for _ in range(repetitions):

@@ -28,19 +28,10 @@ OVERFLOW = "mean or covariance overflows float64"
 class MomentState:
     """Mergeable accumulator for streaming mean and covariance."""
 
-    def __init__(self, dim: int | None = None):
+    def __init__(self):
         self.count = 0
-        if dim is None:
-            self.mean = None
-            self.scatter = None
-        else:
-            self._allocate(dim)
-
-    def _allocate(self, dim: int) -> None:
-        if dim < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
-        self.mean = np.zeros(dim)
-        self.scatter = np.zeros((dim, dim))
+        self.mean = None
+        self.scatter = None
 
     @property
     def dim(self) -> int | None:
@@ -80,7 +71,11 @@ class MomentState:
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(diagonal))):
                 raise NonFinite(OVERFLOW)
         if self.mean is None:
-            self._allocate(block.shape[1])
+            d = block.shape[1]
+            if d < 1:
+                raise DimensionMismatch(f"dimension must be >= 1, got {d}")
+            self.mean = np.zeros(d)
+            self.scatter = np.zeros((d, d))
         self._combine(m, mean, scatter)
 
     def _combine(self, count: int, mean: np.ndarray, scatter) -> None:

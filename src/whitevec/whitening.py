@@ -7,6 +7,7 @@ to the k largest eigenvalues, so truncation is PCA-equivalent.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,26 @@ def default_eps(cov: np.ndarray) -> float:
     return EPS_SCALE * float(np.trace(cov)) / cov.shape[0]
 
 
+def valid_eps(eps) -> bool:
+    """True for a finite real number >= 0 that is not a bool.
+
+    An integer too large for float64 is not finite here.
+    """
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+        return False
+    try:
+        return math.isfinite(eps) and eps >= 0
+    except OverflowError:
+        return False
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an int: InvalidParameter unless it is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransform:
     """Fit a whitening transform on the rows of ``data``.
 
@@ -81,23 +102,23 @@ def fit_from_moments(
     numerical rank. An eigenvalue counts toward the rank only if it
     exceeds ``max(eps, d * machine_eps * lam_max)``: at or below that its
     inverse square root amplifies round-off. Asking for more than the
-    rank raises RankDeficient rather than silently truncating. ``eps``
-    must be finite and >= 0 (InvalidParameter otherwise), and ``state``
-    a ``MomentState``.
+    rank raises RankDeficient rather than silently truncating. ``k``
+    must be "full" or an integer and ``eps`` pass ``valid_eps``
+    (InvalidParameter otherwise), and ``state`` be a ``MomentState``.
     """
     if not isinstance(state, MomentState):
         raise InvalidParameter(f"expected a MomentState, got {type(state).__name__}")
-    if eps is not None and not (math.isfinite(eps) and eps >= 0.0):
-        raise InvalidParameter(f"eps must be finite and >= 0, got {eps!r}")
+    if eps is not None and not valid_eps(eps):
+        raise InvalidParameter(f"eps must be a finite number >= 0, got {eps!r}")
+    if k != FULL:
+        k = require_int(k, "k")
     n, d = state.count, state.dim
     if n == 0:
         raise EmptyInput("cannot fit a transform on zero rows")
     if n < 2:
         raise EmptyInput(f"fitting requires at least 2 rows, got {n}")
-    if k != FULL:
-        k = int(k)
-        if not 1 <= k <= d:
-            raise DimensionMismatch(f"k={k} outside [1, {d}]")
+    if k != FULL and not 1 <= k <= d:
+        raise DimensionMismatch(f"k={k} outside [1, {d}]")
 
     mean, cov = finalize(state)
     if eps is None:
@@ -130,7 +151,12 @@ def fit_from_moments(
 
 
 def truncate(t: WhiteningTransform, k: int) -> WhiteningTransform:
-    """First-k-columns view of a fitted transform (bit-identical columns)."""
+    """First-k-columns view of a fitted transform (bit-identical columns).
+
+    ``k`` must be an integer (InvalidParameter) in [1, output_dim]
+    (RankDeficient).
+    """
+    k = require_int(k, "k")
     if not 1 <= k <= t.output_dim:
         raise RankDeficient(k, t.output_dim)
     if k == t.output_dim:

@@ -165,9 +165,7 @@ def test_c6_synthetic_anisotropy_recovery():
     def embed(z):
         return z @ mixing + offset + rng.standard_normal((n, d)) * 0.05
 
-    data = PairedDataset(
-        left=embed(z_left), right=embed(z_right), gold=gold, name="anisotropic"
-    )
+    data = PairedDataset(left=embed(z_left), right=embed(z_right), gold=gold)
     rho_raw = evaluation.evaluate(data).spearman_rho
     t = whitening.fit_from_moments(evaluation.fit_corpus(data), k=latent)
     rho_white = evaluation.evaluate(data, t).spearman_rho

@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from whitevec import evaluation, fileio, retrieval, whitening
-from whitevec.cli import run
+from whitevec.cli import build_parser, run
 from whitevec.evaluation import cosine_similarity
 
 
@@ -151,8 +153,9 @@ def test_sweep_warns_above_rank(workdir, capsys):
     assert ks == ["2"]
 
 
-def test_stats(workdir, capsys):
-    code = run(["stats", "--input", str(workdir / "data.emb1"), "--batch", "16"])
+def test_stats(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 16)
+    code = run(["stats", "--input", str(workdir / "data.emb1")])
     assert code == 0
     out = capsys.readouterr().out
     fields = dict(
@@ -237,6 +240,56 @@ def test_bench_json(workdir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["bytes_per_vector"] == 16
     assert doc["queries_per_second"] > 0
+
+
+def test_bench_reps_below_minimum_is_usage_error(tmp_path, capsys):
+    # The files do not exist: a check made after any I/O would exit 1.
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--index", str(tmp_path / "none.emb1"), "--query",
+             str(tmp_path / "none.emb1"), "--reps", str(retrieval.MIN_REPETITIONS - 1)])
+    assert exc.value.code == 2
+    assert "--reps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks", [",", "", " , "])
+def test_sweep_empty_ks_is_usage_error(workdir, ks, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--left", str(workdir / "left.emb1"),
+             "--right", str(workdir / "right.emb1"),
+             "--gold", str(workdir / "gold.txt"), "--ks", ks])
+    assert exc.value.code == 2
+    assert "--ks" in capsys.readouterr().err
+
+
+def test_docs_name_every_flag_and_no_other():
+    """docs/cli.md and the parser agree on the --flags of each subcommand.
+
+    A subcommand's section may leave out a flag the preamble describes
+    for all commands (``--out``).
+    """
+    doc = (Path(__file__).parents[1] / "docs" / "cli.md").read_text(encoding="utf-8")
+
+    def flags(text):
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+
+    preamble, *parts = re.split(r"^## (\S+)[^\n]*$", doc, flags=re.M)
+    sections = dict(zip(parts[::2], map(flags, parts[1::2])))
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert flags(doc) == set().union(*defined.values())
+    for name, own in defined.items():
+        assert sections[name] <= own, name
+        assert own <= sections[name] | flags(preamble), name
 
 
 @pytest.mark.parametrize("eps", ["-1", "-1e-300", "nan", "inf", "abc"])

@@ -7,6 +7,7 @@ the CLI commands that read EMB1 must exit 0 or 1 without raising.
 """
 
 import struct
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -64,19 +65,22 @@ def test_readers_agree_and_cli_exits_cleanly(tmp_path_factory, raw, batch_rows):
     path = work / "m.emb1"
     path.write_bytes(raw)
 
+    # The bulk read keeps the default block size; only the streamed read
+    # and the CLI runs go through 1-5-row blocks.
     bulk = _outcome(lambda: fileio.read_emb1(path))
-    streamed = _outcome(lambda: list(fileio.iter_emb1(path, batch_rows=batch_rows)))
-    if raw == HUGE_EMPTY:
-        assert bulk is streamed is errors.TruncatedPayload
-    if isinstance(bulk, np.ndarray):
-        assert isinstance(streamed, list)
-        joined = np.concatenate(streamed) if streamed else np.empty((0, bulk.shape[1]))
-        assert joined.dtype == bulk.dtype == np.float64
-        assert joined.shape == bulk.shape
-        assert joined.tobytes() == bulk.tobytes()
-    else:
-        assert streamed is bulk
+    with mock.patch.object(fileio, "BLOCK_ROWS", batch_rows):
+        streamed = _outcome(lambda: list(fileio.iter_emb1(path)))
+        if raw == HUGE_EMPTY:
+            assert bulk is streamed is errors.TruncatedPayload
+        if isinstance(bulk, np.ndarray):
+            assert isinstance(streamed, list)
+            joined = np.concatenate(streamed) if streamed else np.empty((0, bulk.shape[1]))
+            assert joined.dtype == bulk.dtype == np.float64
+            assert joined.shape == bulk.shape
+            assert joined.tobytes() == bulk.tobytes()
+        else:
+            assert streamed is bulk
 
-    assert run(["stats", "--input", str(path), "--batch", str(batch_rows)]) in (0, 1)
-    fit = ["fit", "--input", str(path), "--k", "full", "--out", str(work / "w.json")]
-    assert run(fit) in (0, 1)
+        assert run(["stats", "--input", str(path)]) in (0, 1)
+        fit = ["fit", "--input", str(path), "--k", "full", "--out", str(work / "w.json")]
+        assert run(fit) in (0, 1)

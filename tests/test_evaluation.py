@@ -120,7 +120,7 @@ class TestEvaluate:
         left = rng.standard_normal((n, d))
         right = rng.standard_normal((n, d))
         gold = np.array([cosine_similarity(l, r) for l, r in zip(left, right)])
-        return PairedDataset(left=left, right=right, gold=gold, name="synthetic")
+        return PairedDataset(left=left, right=right, gold=gold)
 
     def test_gold_equals_cosine_gives_one(self):
         data = self.make_dataset(np.random.default_rng(4))
@@ -239,6 +239,16 @@ class TestSweep:
         data = self.make_anisotropic(rng)
         with pytest.raises(errors.InvalidParameter):
             evaluation.sweep_k(data, [2], fit_data=np.vstack([data.left, data.right]))
+
+    @pytest.mark.parametrize("bad", ["abc", 2.5, True])
+    def test_non_integer_k_rejected_before_fitting(self, bad):
+        rng = np.random.default_rng(15)
+        data = self.make_anisotropic(rng)
+        with pytest.raises(errors.InvalidParameter):
+            evaluation.sweep_k(data, [bad])
+        # Empty moments would fail the fit with EmptyInput; ks are checked first.
+        with pytest.raises(errors.InvalidParameter):
+            evaluation.sweep_k(data, [2, bad], fit_data=streaming.MomentState())
 
     def test_above_rank_skipped(self):
         rng = np.random.default_rng(11)

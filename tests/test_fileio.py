@@ -68,12 +68,14 @@ def test_nonfinite_payload_rejected(tmp_path):
         fileio.read_emb1(path)
 
 
-def test_iter_emb1_matches_bulk_read(tmp_path):
+def test_iter_emb1_matches_bulk_read(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     data = rng.standard_normal((100, 7))
     path = tmp_path / "stream.emb1"
     fileio.write_emb1(path, data)
-    blocks = list(fileio.iter_emb1(path, batch_rows=9))
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 9)
+    blocks = list(fileio.iter_emb1(path))
+    assert len(blocks) == 12
     assert np.array_equal(np.vstack(blocks), data)
 
 
@@ -244,7 +246,7 @@ def test_zero_dim_rejected(tmp_path):
         fileio.write_emb1(tmp_path / "out.emb1", np.empty((3, 0)))
 
 
-def test_nonfinite_in_late_block_raised_by_both_readers(tmp_path):
+def test_nonfinite_in_late_block_raised_by_both_readers(tmp_path, monkeypatch):
     data = np.zeros((10, 2))
     path = tmp_path / "late.emb1"
     fileio.write_emb1(path, data)
@@ -253,8 +255,9 @@ def test_nonfinite_in_late_block_raised_by_both_readers(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(errors.NonFinite):
         fileio.read_emb1(path)
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 3)
     with pytest.raises(errors.NonFinite):
-        list(fileio.iter_emb1(path, batch_rows=3))
+        list(fileio.iter_emb1(path))
 
 
 class HalfWrittenFile:

@@ -167,6 +167,16 @@ class TestTopK:
         with pytest.raises(errors.DimensionMismatch):
             retrieval.top_k(two_axis_index, np.ones(3), 1)
 
+    @pytest.mark.parametrize("k", [2.5, 1.0, True, "1"])
+    def test_non_integer_k_rejected(self, two_axis_index, k):
+        with pytest.raises(errors.InvalidParameter):
+            retrieval.top_k(two_axis_index, np.array([1.0, 0.0]), k)
+        with pytest.raises(errors.InvalidParameter):
+            retrieval.top_k_batch(two_axis_index, np.eye(2), k)
+
+    def test_numpy_integer_k_accepted(self, two_axis_index):
+        assert retrieval.top_k(two_axis_index, np.array([1.0, 0.0]), np.int64(1)) == [(0, 1.0)]
+
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal((200, 12))
@@ -306,6 +316,13 @@ class TestBenchmark:
         idx = retrieval.build_index(rng.standard_normal((10, 4)))
         with pytest.raises(errors.EmptyInput):
             retrieval.benchmark(idx, rng.standard_normal((2, 4)), 1, repetitions=2)
+
+    @pytest.mark.parametrize("reps", [3.5, 3.0, "3"])
+    def test_non_integer_repetitions_rejected(self, reps):
+        rng = np.random.default_rng(6)
+        idx = retrieval.build_index(rng.standard_normal((10, 4)))
+        with pytest.raises(errors.InvalidParameter):
+            retrieval.benchmark(idx, rng.standard_normal((2, 4)), 1, repetitions=reps)
 
     def test_one_slow_query_does_not_move_rate(self, monkeypatch):
         """A burst of load that stalls one query per pass leaves the median alone."""

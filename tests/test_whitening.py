@@ -125,6 +125,30 @@ class TestFit:
         with pytest.raises(errors.InvalidParameter):
             whitening.fit(rank2, k="full", eps=eps)
 
+    @pytest.mark.parametrize("eps", [True, 10**400], ids=["True", "10**400"])
+    def test_bool_and_overflowing_eps_rejected(self, eps):
+        with pytest.raises(errors.InvalidParameter):
+            whitening.fit(FOUR_POINTS, k="full", eps=eps)
+
+    @pytest.mark.parametrize("k", ["abc", 2.7, 2.0, True])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(errors.InvalidParameter):
+            whitening.fit(FOUR_POINTS, k=k)
+        state = streaming.MomentState()
+        state.update(FOUR_POINTS)
+        with pytest.raises(errors.InvalidParameter):
+            whitening.fit_from_moments(state, k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        t = whitening.fit(FOUR_POINTS, k=np.int64(1))
+        assert t.output_dim == 1 and type(t.output_dim) is int
+        assert whitening.truncate(whitening.fit(FOUR_POINTS), np.int32(1)).output_dim == 1
+
+    @pytest.mark.parametrize("k", [2.5, 1.0, True, "1"])
+    def test_truncate_non_integer_k_rejected(self, k):
+        with pytest.raises(errors.InvalidParameter):
+            whitening.truncate(whitening.fit(FOUR_POINTS), k)
+
     def test_zero_eps_accepted(self):
         t = whitening.fit(np.array([[0.0, 0.0], [2.0, 0.0]]), k="full", eps=0.0)
         assert t.output_dim == 1 and t.eps == 0.0
