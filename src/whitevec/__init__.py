@@ -22,8 +22,10 @@ from .evaluation import (
     PairedDataset,
     cosine_similarity,
     evaluate,
+    evaluate_blocks,
     spearman,
     sweep_k,
+    sweep_transforms,
 )
 from .fileio import (
     load_transform,

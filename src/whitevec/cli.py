@@ -30,7 +30,7 @@ def _k_arg(value: str):
 
 
 def _ks_arg(value: str):
-    ks = [_k_arg(tok) for tok in value.split(",") if tok.strip()]
+    ks = [_k_arg(tok.strip()) for tok in value.split(",") if tok.strip()]
     if not ks:
         raise argparse.ArgumentTypeError(f"expected at least one k, got {value!r}")
     return ks
@@ -60,19 +60,13 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _file_moments(path) -> streaming.MomentState:
-    """Moments of an EMB1 file, streamed in BLOCK_ROWS-row blocks."""
+def _file_moments(*paths) -> streaming.MomentState:
+    """Moments of EMB1 files, streamed in BLOCK_ROWS-row blocks, file after file."""
     state = streaming.MomentState()
-    for block in fileio.iter_emb1(path):
-        state.update(block)
+    for path in paths:
+        for block in fileio.iter_emb1(path):
+            state.update(block)
     return state
-
-
-def _load_fit_corpus(args, data: evaluation.PairedDataset) -> streaming.MomentState:
-    """--fit target (default) fits on the pair union; --fit FILE on that file."""
-    if args.fit == "target":
-        return evaluation.fit_corpus(data)
-    return _file_moments(args.fit)
 
 
 def _emb1_blocks(path, t: whitening.WhiteningTransform | None):
@@ -108,20 +102,43 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _eval_dataset(args) -> evaluation.PairedDataset:
-    return evaluation.PairedDataset(
-        left=fileio.read_emb1(args.left),
-        right=fileio.read_emb1(args.right),
-        gold=fileio.read_gold(args.gold),
-    )
+def _pair_inputs(args) -> tuple[int, np.ndarray]:
+    """(dim, gold) of --left/--right/--gold, checked against each other.
+
+    Only the EMB1 headers and the gold file are read, so a mismatch
+    fails before any payload is.
+    """
+    left = fileio.read_emb1_header(args.left)
+    right = fileio.read_emb1_header(args.right)
+    gold = fileio.read_gold(args.gold)
+    if (left.count, left.dim) != (right.count, right.dim) or left.count != gold.shape[0]:
+        raise DimensionMismatch(
+            f"inconsistent shapes: left ({left.count}, {left.dim}), "
+            f"right ({right.count}, {right.dim}), gold ({gold.shape[0]},)"
+        )
+    return left.dim, gold
+
+
+def _fit_moments(args, dim: int) -> streaming.MomentState:
+    """--fit target (default) folds left then right; --fit FILE streams that file."""
+    if args.fit == "target":
+        return _file_moments(args.left, args.right)
+    header = fileio.read_emb1_header(args.fit)
+    if header.dim != dim:
+        raise DimensionMismatch(f"{args.fit} has dim {header.dim}, the pairs have dim {dim}")
+    return _file_moments(args.fit)
+
+
+def _pairs(args):
+    return zip(fileio.iter_emb1(args.left), fileio.iter_emb1(args.right))
 
 
 def cmd_eval(args) -> int:
-    data = _eval_dataset(args)
+    dim, gold = _pair_inputs(args)
     transform = None
     if args.k is not None:
-        transform = whitening.fit_from_moments(_load_fit_corpus(args, data), k=args.k)
-    report = evaluation.evaluate(data, transform)
+        transform = whitening.fit_from_moments(_fit_moments(args, dim), k=args.k)
+    (report,) = evaluation.evaluate_blocks(_pairs(args), gold, [transform])
     if args.report == "json":
         doc = {
             "dataset": args.dataset,
@@ -141,14 +158,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    data = _eval_dataset(args)
-    results = evaluation.sweep_k(data, args.ks, fit_data=_load_fit_corpus(args, data))
-    done = {k for k, _ in results}
+    dim, gold = _pair_inputs(args)
+    transforms = evaluation.sweep_transforms(_fit_moments(args, dim), args.ks)
+    reports = evaluation.evaluate_blocks(_pairs(args), gold, transforms)
+    done = {t.output_dim for t in transforms}
     for k in args.ks:
         if k != FULL and k not in done:
             print(f"RankDeficient: skipping k={k} (above numerical rank)", file=sys.stderr)
     lines = ["k\trho\n"]
-    lines += [f"{k}\t{rho:.6f}\n" for k, rho in results]
+    lines += [f"{t.output_dim}\t{r.spearman_rho:.6f}\n" for t, r in zip(transforms, reports)]
     _emit("".join(lines), args.out)
     return 0
 

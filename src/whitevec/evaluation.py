@@ -100,10 +100,16 @@ def spearman(pred: np.ndarray, gold: np.ndarray) -> float:
 
 
 def _pair_cosines(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise cosines plus a validity mask (False where a side is ~zero)."""
+    """Row-wise cosines plus a validity mask (False where a side is ~zero).
+
+    A row holding NaN or Inf has a non-finite norm, so checking the norms
+    checks every value (NonFinite); so does a norm beyond float64.
+    """
     dots = np.einsum("ij,ij->i", left, right)
     nl = np.sqrt(np.einsum("ij,ij->i", left, left))
     nr = np.sqrt(np.einsum("ij,ij->i", right, right))
+    if not (np.all(np.isfinite(nl)) and np.all(np.isfinite(nr))):
+        raise NonFinite("vectors contain NaN or Inf, or their norm overflows float64")
     valid = (nl >= ZERO_NORM) & (nr >= ZERO_NORM)
     cosines = np.zeros_like(dots)
     np.divide(dots, nl * nr, out=cosines, where=valid)
@@ -115,36 +121,85 @@ def evaluate(
 ) -> EvalReport:
     """Spearman correlation of per-pair cosine similarity against gold.
 
-    Pairs where either (transformed) side has near-zero norm are skipped
-    and counted rather than scored as 0. Pairs are whitened and scored
-    in BLOCK_ROWS-row blocks (every step is row-local, so the scores do
-    not depend on the block size): a transform adds O(BLOCK_ROWS * k)
+    The one-transform matrix form of ``evaluate_blocks``: the pairs go in
+    as BLOCK_ROWS-row slices, so a transform adds O(BLOCK_ROWS * k)
     memory, not two N x k copies.
     """
-    if transform is not None:
-        if transform.input_dim != data.dim:
-            raise DimensionMismatch(
-                f"dataset dim {data.dim} != transform input dim {transform.input_dim}"
-            )
-        dim_used = transform.output_dim
-    else:
-        dim_used = data.dim
-    cosines = np.empty(data.n_pairs)
-    valid = np.empty(data.n_pairs, dtype=bool)
-    for start in range(0, data.n_pairs, BLOCK_ROWS):
+    return evaluate_blocks(_slices(data), data.gold, [transform])[0]
+
+
+def _slices(data: PairedDataset):
+    """(left, right) BLOCK_ROWS-row slices of the pairs; one empty pair if N is 0.
+
+    The empty pair still goes through ``apply_batch``, which checks a
+    transform's width, so a wrong one fails even when there are no pairs.
+    """
+    for start in range(0, max(data.n_pairs, 1), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        left, right = data.left[rows], data.right[rows]
-        if transform is not None:
-            left = whitening.apply_batch(transform, left)
-            right = whitening.apply_batch(transform, right)
-        cosines[rows], valid[rows] = _pair_cosines(left, right)
-    rho = spearman(cosines[valid], data.gold[valid])
-    return EvalReport(
-        spearman_rho=rho,
-        n_pairs=data.n_pairs,
-        skipped=int(np.sum(~valid)),
-        dim_used=dim_used,
-    )
+        yield data.left[rows], data.right[rows]
+
+
+def evaluate_blocks(pairs, gold: np.ndarray, transforms) -> list[EvalReport]:
+    """Score (left, right) row-block pairs against ``gold`` under each transform.
+
+    ``transforms`` lists WhiteningTransforms, with None for the raw
+    embeddings; one EvalReport comes back per entry, in order. Each
+    block pair is whitened by each transform in turn and reduced to its
+    cosines, so beyond one block pair and its whitened copies the call
+    holds N cosines per transform, then ranks them one transform at a
+    time (O(N) temporaries). Pairs where either (transformed) side
+    has near-zero norm are skipped and counted rather than scored as 0.
+    Every step is row-local, so the scores do not depend on how the
+    pairs are split into blocks. The blocks must be finite, of one width
+    that every transform takes, and hold exactly ``len(gold)`` pairs
+    (DimensionMismatch, NonFinite otherwise).
+    """
+    gold = np.asarray(gold, dtype=np.float64)
+    transforms = list(transforms)
+    cosines, valid, dim = _block_cosines(pairs, gold.shape[0], transforms)
+    reports = []
+    for t, cos, ok in zip(transforms, cosines, valid):
+        reports.append(
+            EvalReport(
+                spearman_rho=spearman(cos[ok], gold[ok]),
+                n_pairs=gold.shape[0],
+                skipped=int(np.sum(~ok)),
+                dim_used=dim if t is None else t.output_dim,
+            )
+        )
+    return reports
+
+
+def _block_cosines(pairs, n: int, transforms):
+    """(cosines, valid, dim): one row of n cosines and validity flags per transform.
+
+    A function of its own, so the last block pair is freed before ranking.
+    """
+    cosines = np.empty((len(transforms), n))
+    valid = np.empty((len(transforms), n), dtype=bool)
+    seen, dim = 0, None
+    for left, right in pairs:
+        left = np.asarray(left, dtype=np.float64)
+        right = np.asarray(right, dtype=np.float64)
+        if left.ndim != 2 or left.shape != right.shape or dim not in (None, left.shape[1]):
+            raise DimensionMismatch(
+                f"block pair has shapes {left.shape} and {right.shape}, expected rows of dim {dim}"
+            )
+        dim = left.shape[1]
+        rows = slice(seen, seen + left.shape[0])
+        seen += left.shape[0]
+        if seen > n:
+            raise DimensionMismatch(f"blocks hold more than the {n} gold scores")
+        for i, t in enumerate(transforms):
+            if t is None:
+                cosines[i, rows], valid[i, rows] = _pair_cosines(left, right)
+            else:
+                cosines[i, rows], valid[i, rows] = _pair_cosines(
+                    whitening.apply_batch(t, left), whitening.apply_batch(t, right)
+                )
+    if seen != n:
+        raise DimensionMismatch(f"blocks hold {seen} pairs, gold has {n} scores")
+    return cosines, valid, dim
 
 
 def fit_corpus(data: PairedDataset) -> MomentState:
@@ -160,27 +215,34 @@ def fit_corpus(data: PairedDataset) -> MomentState:
     return state
 
 
+def sweep_transforms(fit_data: MomentState, ks) -> list[WhiteningTransform]:
+    """One full-rank fit of ``fit_data``, truncated to each entry of ``ks``.
+
+    ``ks`` may contain integers and the string "full"; any other entry
+    raises InvalidParameter before the fit. Entries above the numerical
+    rank are left out. Truncation consistency guarantees each transform
+    matches a separately fitted one of the same k.
+    """
+    ks = [k if k == FULL else require_int(k, "k") for k in ks]
+    full = whitening.fit_from_moments(fit_data, k=FULL)
+    return [
+        whitening.truncate(full, full.output_dim if k == FULL else k)
+        for k in ks
+        if k == FULL or 1 <= k <= full.output_dim
+    ]
+
+
 def sweep_k(
     data: PairedDataset, ks, fit_data: MomentState | None = None
 ) -> list[tuple[int, float]]:
     """Evaluate across output dimensionalities using one full-rank fit.
 
     ``fit_data`` holds the moments of the fitting corpus (default:
-    ``fit_corpus(data)``). ``ks`` may contain integers and the string
-    "full"; any other entry raises InvalidParameter before the fit.
-    Entries above the numerical rank are skipped. Truncation
-    consistency guarantees each entry matches a separately fitted
-    transform of the same k.
+    ``fit_corpus(data)``); ``ks`` is as for ``sweep_transforms``. Every
+    k is scored in one pass over the pairs.
     """
-    ks = [k if k == FULL else require_int(k, "k") for k in ks]
     if fit_data is None:
         fit_data = fit_corpus(data)
-    full = whitening.fit_from_moments(fit_data, k=FULL)
-    results: list[tuple[int, float]] = []
-    for k in ks:
-        k = full.output_dim if k == FULL else k
-        if not 1 <= k <= full.output_dim:
-            continue
-        report = evaluate(data, whitening.truncate(full, k))
-        results.append((k, report.spearman_rho))
-    return results
+    transforms = sweep_transforms(fit_data, ks)
+    reports = evaluate_blocks(_slices(data), data.gold, transforms)
+    return [(t.output_dim, r.spearman_rho) for t, r in zip(transforms, reports)]

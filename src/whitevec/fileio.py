@@ -15,8 +15,10 @@ EMB1 layout (all integers little-endian):
 See docs/formats.md for a hex example.
 """
 
+import array
 import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -36,7 +38,7 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .whitening import BLOCK_ROWS, WhiteningTransform, valid_eps
+from .whitening import BLOCK_ROWS, WhiteningTransform, require_int, valid_eps
 
 MAGIC = b"EMB1"
 VERSION = 1
@@ -125,11 +127,17 @@ def read_emb1(path) -> np.ndarray:
 
 
 def iter_emb1(path) -> Iterator[np.ndarray]:
-    """Stream an EMB1 file as float64 BLOCK_ROWS-row blocks without loading it whole."""
+    """Stream an EMB1 file as float64 BLOCK_ROWS-row blocks without loading it whole.
+
+    Every block is read-only. A float64 file's block is a view of the
+    bytes read, not a copy; a float32 file's block is upcast.
+    """
     with open(path, "rb") as f:
         count, dim, dtype = _open_payload(f)
         for block in _blocks(f, count, dim, dtype):
-            yield block.astype(np.float64)
+            block = block.astype(np.float64, copy=False)
+            block.setflags(write=False)
+            yield block
 
 
 def write_atomic(path, chunks: Iterable) -> None:
@@ -170,9 +178,14 @@ def write_emb1_blocks(
     is one block. Every block must be an (m, dim) matrix whose values are
     finite in the output dtype (a float64 value beyond the float32 range
     is refused, not written as Inf), and the blocks must hold exactly
-    ``count`` rows in total. Any failure leaves ``path`` as it was (see
-    ``write_atomic``).
+    ``count`` rows in total. ``count`` and ``dim`` must be integers
+    (InvalidParameter, before anything is written). Any failure leaves
+    ``path`` as it was (see ``write_atomic``).
     """
+    count = require_int(count, "count")
+    dim = require_int(dim, "dim")
+    if count < 0:
+        raise SchemaMismatch(f"EMB1 row count must be >= 0, got {count}")
     if dim < 1:
         raise SchemaMismatch(f"EMB1 rows need dim >= 1, got {dim}")
     if dtype not in DTYPE_CODES:
@@ -300,17 +313,24 @@ def load_transform(path) -> WhiteningTransform:
 
 
 def read_gold(path) -> np.ndarray:
-    """One similarity score per line; blank trailing lines tolerated."""
+    """One similarity score per line; blank trailing lines tolerated.
+
+    The whole file is checked to be UTF-8 first, then parsed one line at
+    a time into a float64 buffer, so beyond the file's bytes the reader
+    holds 8 bytes per score, not a list of line strings and floats.
+    """
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise ParseError(line, "not valid UTF-8") from None
-    scores = []
+    scores = array.array("d")
     pending_blanks = 0
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        token = line.strip()
+    # A "\n" byte never occurs inside a multi-byte UTF-8 sequence, so each
+    # line decodes on its own.
+    for lineno, line in enumerate(io.BytesIO(raw), start=1):
+        token = line.decode("utf-8").strip()
         if not token:
             pending_blanks += 1
             continue

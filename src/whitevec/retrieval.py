@@ -82,10 +82,13 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
     array, so beyond the index the call holds one block's temporaries.
     Normalization is row-local: the index equals ``build_index`` of the
     concatenated blocks bit for bit. The blocks must hold exactly
-    ``count`` rows (DimensionMismatch otherwise).
+    ``count`` rows (DimensionMismatch otherwise). ``count`` and ``dim``
+    must be integers (InvalidParameter, before anything is allocated).
     """
-    if count == 0:
-        raise EmptyInput("cannot index zero vectors")
+    count = require_int(count, "count")
+    dim = require_int(dim, "dim")
+    if count < 1:
+        raise EmptyInput(f"cannot index {count} vectors")
     vectors = np.empty((count, dim), dtype=np.float32)
     ids = np.empty(count, dtype=np.int64)
     seen = kept = 0
@@ -158,9 +161,14 @@ def top_k_batch(
     k = min(k_results, index.size)
     if k == 0:  # every indexed row had zero norm
         return [[] for _ in range(unit.shape[0])]
+    # One score buffer for every tile; each tile's scores are a C-contiguous
+    # n x m view of it, the layout `index.vectors @ tile.T` would allocate.
+    buffer = np.empty(index.size * min(QUERY_TILE, unit.shape[0]), dtype=np.float32)
     results = []
     for start in range(0, unit.shape[0], QUERY_TILE):
-        scores = index.vectors @ unit[start : start + QUERY_TILE].T
+        tile = unit[start : start + QUERY_TILE]
+        scores = buffer[: index.size * tile.shape[0]].reshape(index.size, tile.shape[0])
+        np.matmul(index.vectors, tile.T, out=scores)
         results += _select(scores, index.ids, k)
     return results
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whitevec import evaluation, fileio, retrieval, whitening
+from whitevec import evaluation, fileio, retrieval, streaming, whitening
 from whitevec.cli import build_parser, run
 from whitevec.evaluation import cosine_similarity
 
@@ -535,3 +535,107 @@ def test_eval_fit_file_streams(workdir, monkeypatch, capsys):
                 "--right", str(workdir / "right.emb1"), "--gold", str(workdir / "gold.txt"),
                 "--fit", str(workdir / "data.emb1"), "--k", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["spearman_rho_x100"] == round(expected, 5)
+
+
+def write_pairs(workdir, n_left, n_right=None, n_gold=None, dim_right=4, nan_side=None):
+    """Pair files of width 4 and gold scores; a NaN in the last row of ``nan_side``."""
+    rng = np.random.default_rng(n_left)
+    paths = {side: workdir / f"{side}.emb1" for side in ("left", "right")}
+    fileio.write_emb1(paths["left"], rng.standard_normal((n_left, 4)) + 1.0)
+    fileio.write_emb1(paths["right"], rng.standard_normal((n_right or n_left, dim_right)) + 1.0)
+    if nan_side:
+        raw = bytearray(paths[nan_side].read_bytes())
+        raw[-8:] = np.array([np.nan]).tobytes()
+        paths[nan_side].write_bytes(bytes(raw))
+    (workdir / "gold.txt").write_text("".join(f"{g}\n" for g in rng.uniform(0, 5, n_gold or n_left)))
+    return ["--left", str(paths["left"]), "--right", str(paths["right"]),
+            "--gold", str(workdir / "gold.txt")]
+
+
+def refuse_payload_reads(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path}: payload read before the inputs were checked")
+
+    monkeypatch.setattr(fileio, "iter_emb1", refuse)
+    monkeypatch.setattr(fileio, "read_emb1", refuse)
+
+
+EVAL_COMMANDS = [["eval"], ["eval", "--k", "2"], ["sweep", "--ks", "1,full"]]
+N_PAIRS = whitening.BLOCK_ROWS + 10
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS)
+@pytest.mark.parametrize(
+    "shapes",
+    [dict(n_right=N_PAIRS - 1), dict(n_gold=N_PAIRS - 1), dict(dim_right=3)],
+    ids=["right", "gold", "width"],
+)
+def test_pair_shapes_checked_before_any_payload(workdir, monkeypatch, capsys, command, shapes):
+    """A mismatch wins even over a NaN in a late block of --left."""
+    pairs = write_pairs(workdir, N_PAIRS, nan_side="left", **shapes)
+    refuse_payload_reads(monkeypatch)
+    assert run([*command, *pairs]) == 1
+    assert capsys.readouterr().err.startswith("DimensionMismatch: inconsistent shapes")
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS)
+def test_pair_nan_in_late_right_block_keeps_old_output(workdir, capsys, command):
+    pairs = write_pairs(workdir, N_PAIRS, nan_side="right")
+    out = workdir / "report.txt"
+    out.write_bytes(b"previous contents\n")
+    before = sorted(os.listdir(workdir))
+    assert run([*command, *pairs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("NonFinite:")
+    assert out.read_bytes() == b"previous contents\n"
+    assert sorted(os.listdir(workdir)) == before
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS[1:])
+def test_fit_file_of_wrong_width(workdir, monkeypatch, capsys, command):
+    pairs = write_pairs(workdir, 50)
+    fileio.write_emb1(workdir / "narrow.emb1", np.ones((10, 3)))
+    refuse_payload_reads(monkeypatch)
+    assert run([*command, *pairs, "--fit", str(workdir / "narrow.emb1")]) == 1
+    assert capsys.readouterr().err.startswith("DimensionMismatch:")
+
+
+@pytest.mark.parametrize("fit", ["target", "data.emb1"])
+def test_sweep_scores_every_k_in_one_pass(workdir, monkeypatch, capsys, fit):
+    """Each pair file is streamed once for scoring, whatever the number of ks."""
+    pairs = write_pairs(workdir, N_PAIRS)
+    fit_arg = fit if fit == "target" else str(workdir / fit)
+    data = evaluation.PairedDataset(
+        left=fileio.read_emb1(workdir / "left.emb1"),
+        right=fileio.read_emb1(workdir / "right.emb1"),
+        gold=fileio.read_gold(workdir / "gold.txt"),
+    )
+    moments = None
+    if fit != "target":
+        moments = streaming.MomentState()
+        moments.update(fileio.read_emb1(workdir / fit))
+    expected = "k\trho\n" + "".join(
+        f"{k}\t{rho:.6f}\n" for k, rho in evaluation.sweep_k(data, [1, 2, 3, "full"], moments)
+    )
+    opened = []
+    real = fileio.iter_emb1
+
+    def counting(path):
+        opened.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(fileio, "iter_emb1", counting)
+    refuse_bulk_read(monkeypatch, workdir / "left.emb1")
+    assert run(["sweep", *pairs, "--ks", "1,2,3,full", "--fit", fit_arg]) == 0
+    assert capsys.readouterr().out == expected
+    reads = 2 if fit == "target" else 1
+    assert sorted(opened) == sorted(["left.emb1", "right.emb1"] * reads + [fit] * (reads == 1))
+
+
+@pytest.mark.parametrize("ks", ["2, full", "2,full ", " 2 ,\tfull"])
+def test_ks_tokens_may_be_padded(workdir, capsys, ks):
+    pairs = ["--left", str(workdir / "left.emb1"), "--right", str(workdir / "right.emb1"),
+             "--gold", str(workdir / "gold.txt")]
+    assert run(["sweep", *pairs, "--ks", "2,full"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["sweep", *pairs, "--ks", ks]) == 0
+    assert capsys.readouterr().out == expected

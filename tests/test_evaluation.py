@@ -41,6 +41,11 @@ class TestCosine:
         with pytest.raises(errors.DimensionMismatch):
             cosine_similarity(np.ones(2), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_values_or_norms_rejected(self, bad):
+        with pytest.raises(errors.NonFinite):
+            cosine_similarity(np.array([1.0, bad]), np.ones(2))
+
     def test_matches_pair_cosines_bit_exact(self):
         rng = np.random.default_rng(1)
         left = rng.standard_normal((25, 9))
@@ -255,3 +260,66 @@ class TestSweep:
         data = self.make_anisotropic(rng, d=4)
         results = evaluation.sweep_k(data, [2, 99])
         assert [k for k, _ in results] == [2]
+
+
+class TestEvaluateBlocks:
+    def make(self, rng, n=50, d=5):
+        left = rng.standard_normal((n, d)) + 2.0
+        right = left + rng.standard_normal((n, d))
+        return left, right, rng.uniform(0, 5, n)
+
+    def test_many_transforms_in_one_pass_equal_separate_evaluations(self):
+        rng = np.random.default_rng(20)
+        left, right, gold = self.make(rng)
+        data = PairedDataset(left=left, right=right, gold=gold)
+        transforms = [None, *evaluation.sweep_transforms(evaluation.fit_corpus(data), [1, 3, "full"])]
+        splits = [0, 7, 7, 30, 50]  # uneven blocks, one of them empty
+        pairs = [(left[a:b], right[a:b]) for a, b in zip(splits, splits[1:])]
+        reports = evaluation.evaluate_blocks(iter(pairs), gold, transforms)
+        assert reports == [evaluation.evaluate(data, t) for t in transforms]
+        assert [r.dim_used for r in reports] == [5, 1, 3, 5]
+
+    @pytest.mark.parametrize("rows", [[20, 29], [20, 31], []])
+    def test_pair_count_must_match_gold(self, rows):
+        rng = np.random.default_rng(21)
+        left, right, gold = self.make(rng)
+        pairs = [(left[:m], right[:m]) for m in rows]
+        with pytest.raises(errors.DimensionMismatch, match="50"):
+            evaluation.evaluate_blocks(pairs, gold, [None])
+
+    def test_blocks_checked(self):
+        rng = np.random.default_rng(22)
+        left, right, gold = self.make(rng, n=4)
+        t = whitening.fit(rng.standard_normal((20, 3)), k=2)
+        bad = {
+            errors.DimensionMismatch: [
+                ([(left[:2], right[:2]), (left[2:, :4], right[2:, :4])], [None]),
+                ([(left, right[:, :4])], [None]),
+                ([(left, right)], [t]),
+            ],
+            errors.NonFinite: [
+                ([(left, np.where(right > 2.5, np.nan, right))], [None]),
+                ([(np.where(left > 2.5, np.inf, left), right)], [None]),
+            ],
+        }
+        for error, cases in bad.items():
+            for pairs, transforms in cases:
+                with pytest.raises(error):
+                    evaluation.evaluate_blocks(pairs, gold, transforms)
+
+    def test_empty_dataset_still_checks_transform_width(self):
+        t = whitening.fit(np.random.default_rng(23).standard_normal((20, 3)), k=2)
+        empty = PairedDataset(left=np.empty((0, 5)), right=np.empty((0, 5)), gold=np.empty(0))
+        with pytest.raises(errors.DimensionMismatch):
+            evaluation.evaluate(empty, t)
+        with pytest.raises(errors.DegenerateInput):
+            evaluation.evaluate(empty)
+
+    def test_sweep_transforms_skip_above_rank_and_keep_order(self):
+        rng = np.random.default_rng(24)
+        left, right, gold = self.make(rng)
+        state = evaluation.fit_corpus(PairedDataset(left=left, right=right, gold=gold))
+        ts = evaluation.sweep_transforms(state, ["full", 2, 99, 2])
+        assert [t.output_dim for t in ts] == [5, 2, 2]
+        full = whitening.fit_from_moments(state, k="full")
+        assert np.array_equal(ts[1].matrix, whitening.truncate(full, 2).matrix)

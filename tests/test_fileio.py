@@ -349,6 +349,9 @@ class TestBlockWriter:
     def test_no_blocks_writes_zero_rows(self, tmp_path):
         fileio.write_emb1_blocks(tmp_path / "empty.emb1", [], 0, 5)
         assert fileio.read_emb1_header(tmp_path / "empty.emb1") == (0, 5, np.dtype("<f8"))
+        with pytest.raises(errors.SchemaMismatch):
+            fileio.write_emb1_blocks(tmp_path / "negative.emb1", [], -1, 5)
+        assert not (tmp_path / "negative.emb1").exists()
 
     @pytest.mark.parametrize("rows", [[2, 2], [2, 2, 2, 1], []])
     def test_declared_count_enforced(self, tmp_path, rows):
@@ -363,6 +366,12 @@ class TestBlockWriter:
             fileio.write_emb1_blocks(tmp_path / "out.emb1", [np.ones((2, 2)), np.ones((2, 3))], 4, 2)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("count, dim", [(2.0, 4), (2, True)])
+    def test_non_integer_count_or_dim_rejected(self, tmp_path, count, dim):
+        with pytest.raises(errors.InvalidParameter):
+            fileio.write_emb1_blocks(tmp_path / "out.emb1", [np.ones((2, 1))], count, dim)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.filterwarnings("error")
     def test_float32_overflow_refused(self, tmp_path):
         """A finite float64 beyond the float32 range would be written as Inf."""
@@ -370,6 +379,19 @@ class TestBlockWriter:
             fileio.write_emb1(tmp_path / "out.emb1", np.array([[1.0, 1e39]]), dtype="float32")
         fileio.write_emb1(tmp_path / "out.emb1", np.array([[1.0, 1e39]]))
         assert fileio.read_emb1(tmp_path / "out.emb1")[0, 1] == 1e39
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_iter_emb1_blocks_are_read_only(tmp_path, dtype):
+    path = tmp_path / "m.emb1"
+    fileio.write_emb1(path, np.arange(3.0 * whitening.BLOCK_ROWS + 6).reshape(-1, 2), dtype=dtype)
+    blocks = list(fileio.iter_emb1(path))
+    assert len(blocks) == 2
+    for block in blocks:
+        assert block.dtype == np.float64 and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    assert np.array_equal(np.concatenate(blocks), fileio.read_emb1(path))
 
 
 def test_header_read_alone(tmp_path):

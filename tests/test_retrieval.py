@@ -128,12 +128,22 @@ class TestBuildIndex:
             retrieval.build_index_blocks([np.ones((3, 2)), np.ones((3, 2))], count, 2)
 
     def test_blocks_checked(self):
-        with pytest.raises(errors.EmptyInput):
-            retrieval.build_index_blocks([], 0, 2)
+        for count in (0, -1):
+            with pytest.raises(errors.EmptyInput):
+                retrieval.build_index_blocks([], count, 2)
         with pytest.raises(errors.DimensionMismatch):
             retrieval.build_index_blocks([np.ones((3, 3))], 3, 2)
         with pytest.raises(errors.NonFinite):
             retrieval.build_index_blocks([np.ones((3, 2)), np.full((1, 2), np.nan)], 4, 2)
+
+    @pytest.mark.parametrize("count, dim", [(2.0, 4), (2, True)])
+    def test_non_integer_count_or_dim_rejected(self, count, dim):
+        def blocks():
+            raise AssertionError("no block is read before the parameters are checked")
+            yield
+
+        with pytest.raises(errors.InvalidParameter):
+            retrieval.build_index_blocks(blocks(), count, dim)
 
     def test_nonfinite_in_late_chunk_rejected(self):
         data = np.ones((whitening.BLOCK_ROWS + 3, 4))
@@ -226,6 +236,27 @@ class TestTopKBatch:
         idx = retrieval.build_index(data)
         queries = np.concatenate([data[idx.ids[:40]], rng.standard_normal((30, 8))])
         assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+
+    def test_tiles_share_one_score_buffer(self, monkeypatch):
+        """Each tile is scored into one buffer, bit-identical to a fresh product."""
+        rng = np.random.default_rng(3)
+        idx = retrieval.build_index(rng.standard_normal((500, 8)))
+        queries = rng.standard_normal((2 * retrieval.QUERY_TILE + 5, 8))
+        seen = []
+        real = retrieval._select
+
+        def select(scores, ids, k):
+            seen.append((scores.base, scores.copy()))
+            return real(scores, ids, k)
+
+        monkeypatch.setattr(retrieval, "_select", select)
+        retrieval.top_k_batch(idx, queries, 3)
+        unit = (queries / np.sqrt(np.vecdot(queries, queries))[:, np.newaxis]).astype(np.float32)
+        buffer = seen[0][0]
+        assert len(seen) == 3 and buffer is not None and all(b is buffer for b, _ in seen)
+        for i, (_, scores) in enumerate(seen):
+            tile = unit[i * retrieval.QUERY_TILE : (i + 1) * retrieval.QUERY_TILE]
+            assert np.array_equal(scores, idx.vectors @ tile.T)
 
     def test_ties_at_boundary_resolved_by_id(self):
         data = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 7, axis=0)
