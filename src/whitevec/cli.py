@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -60,13 +61,12 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _file_moments(*paths) -> streaming.MomentState:
-    """Moments of EMB1 files, streamed in BLOCK_ROWS-row blocks, file after file."""
-    state = streaming.MomentState()
-    for path in paths:
-        for block in fileio.iter_emb1(path):
-            state.update(block)
-    return state
+def _header_of_width(path, dim: int) -> fileio.Emb1Header:
+    """The EMB1 header of ``path``; DimensionMismatch unless its rows have width ``dim``."""
+    header = fileio.read_emb1_header(path)
+    if header.dim != dim:
+        raise DimensionMismatch(f"{path} has dim {header.dim}, expected {dim}")
+    return header
 
 
 def _emb1_blocks(path, t: whitening.WhiteningTransform | None):
@@ -75,19 +75,16 @@ def _emb1_blocks(path, t: whitening.WhiteningTransform | None):
     The header is checked against ``t`` before any block is read, so a
     file of the wrong width fails even when it has no rows.
     """
-    header = fileio.read_emb1_header(path)
-    blocks = fileio.iter_emb1(path)
     if t is None:
-        return blocks, header.count, header.dim
-    if header.dim != t.input_dim:
-        raise DimensionMismatch(
-            f"{path} has dim {header.dim}, transform expects {t.input_dim}"
-        )
-    return (whitening.apply_batch(t, b) for b in blocks), header.count, t.output_dim
+        header = fileio.read_emb1_header(path)
+        return fileio.iter_emb1(path), header.count, header.dim
+    count = _header_of_width(path, t.input_dim).count
+    return (whitening.apply_batch(t, b) for b in fileio.iter_emb1(path)), count, t.output_dim
 
 
 def cmd_fit(args) -> int:
-    t = whitening.fit_from_moments(_file_moments(args.input), k=args.k, eps=args.eps)
+    moments = streaming.fold(fileio.iter_emb1(args.input))
+    t = whitening.fit_from_moments(moments, k=args.k, eps=args.eps)
     fileio.save_transform(args.out, t)
     print(
         f"fitted on {t.fit_count} vectors: {t.input_dim} -> {t.output_dim} dims",
@@ -122,11 +119,9 @@ def _pair_inputs(args) -> tuple[int, np.ndarray]:
 def _fit_moments(args, dim: int) -> streaming.MomentState:
     """--fit target (default) folds left then right; --fit FILE streams that file."""
     if args.fit == "target":
-        return _file_moments(args.left, args.right)
-    header = fileio.read_emb1_header(args.fit)
-    if header.dim != dim:
-        raise DimensionMismatch(f"{args.fit} has dim {header.dim}, the pairs have dim {dim}")
-    return _file_moments(args.fit)
+        return streaming.fold(chain(fileio.iter_emb1(args.left), fileio.iter_emb1(args.right)))
+    _header_of_width(args.fit, dim)
+    return streaming.fold(fileio.iter_emb1(args.fit))
 
 
 def _pairs(args):

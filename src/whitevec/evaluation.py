@@ -3,14 +3,15 @@ by Spearman correlation, with optional whitening and a dimensionality sweep.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import ZERO_NORM
-from .streaming import MomentState
-from .whitening import BLOCK_ROWS, FULL, WhiteningTransform, require_int
+from .streaming import MomentState, fold
+from .whitening import FULL, WhiteningTransform, require_int, row_blocks
 
 
 @dataclass(frozen=True)
@@ -122,21 +123,11 @@ def evaluate(
     """Spearman correlation of per-pair cosine similarity against gold.
 
     The one-transform matrix form of ``evaluate_blocks``: the pairs go in
-    as BLOCK_ROWS-row slices, so a transform adds O(BLOCK_ROWS * k)
+    as ``row_blocks`` slices, so a transform adds O(BLOCK_ROWS * k)
     memory, not two N x k copies.
     """
-    return evaluate_blocks(_slices(data), data.gold, [transform])[0]
-
-
-def _slices(data: PairedDataset):
-    """(left, right) BLOCK_ROWS-row slices of the pairs; one empty pair if N is 0.
-
-    The empty pair still goes through ``apply_batch``, which checks a
-    transform's width, so a wrong one fails even when there are no pairs.
-    """
-    for start in range(0, max(data.n_pairs, 1), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        yield data.left[rows], data.right[rows]
+    pairs = zip(row_blocks(data.left), row_blocks(data.right))
+    return evaluate_blocks(pairs, data.gold, [transform])[0]
 
 
 def evaluate_blocks(pairs, gold: np.ndarray, transforms) -> list[EvalReport]:
@@ -205,14 +196,11 @@ def _block_cosines(pairs, n: int, transforms):
 def fit_corpus(data: PairedDataset) -> MomentState:
     """Default fitting corpus: the moments of both sides of the pairs.
 
-    Left then right rows are folded in BLOCK_ROWS-row blocks, so beyond
-    the dataset this holds one block's temporaries, not a 2N x d stack.
+    Left then right rows are folded in ``row_blocks`` slices, as
+    ``whitevec eval --fit target`` folds the two files, so beyond the
+    dataset this holds one block's temporaries, not a 2N x d stack.
     """
-    state = MomentState()
-    for side in (data.left, data.right):
-        for start in range(0, data.n_pairs, BLOCK_ROWS):
-            state.update(side[start : start + BLOCK_ROWS])
-    return state
+    return fold(chain(row_blocks(data.left), row_blocks(data.right)))
 
 
 def sweep_transforms(fit_data: MomentState, ks) -> list[WhiteningTransform]:
@@ -244,5 +232,6 @@ def sweep_k(
     if fit_data is None:
         fit_data = fit_corpus(data)
     transforms = sweep_transforms(fit_data, ks)
-    reports = evaluate_blocks(_slices(data), data.gold, transforms)
+    pairs = zip(row_blocks(data.left), row_blocks(data.right))
+    reports = evaluate_blocks(pairs, data.gold, transforms)
     return [(t.output_dim, r.spearman_rho) for t, r in zip(transforms, reports)]

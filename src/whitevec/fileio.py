@@ -31,14 +31,14 @@ import numpy as np
 
 from .errors import (
     BadMagic,
-    DimensionMismatch,
     NonFinite,
     ParseError,
     SchemaMismatch,
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .whitening import BLOCK_ROWS, WhiteningTransform, require_int, valid_eps
+from .whitening import BLOCK_ROWS, WhiteningTransform, checked_blocks, require_int
+from .whitening import row_blocks, valid_eps
 
 MAGIC = b"EMB1"
 VERSION = 1
@@ -179,15 +179,16 @@ def write_emb1_blocks(
     finite in the output dtype (a float64 value beyond the float32 range
     is refused, not written as Inf), and the blocks must hold exactly
     ``count`` rows in total. ``count`` and ``dim`` must be integers
-    (InvalidParameter, before anything is written). Any failure leaves
-    ``path`` as it was (see ``write_atomic``).
+    (InvalidParameter) that fit the header's u64 and u32 fields, with
+    ``dim >= 1`` (SchemaMismatch), before anything is written. Any
+    failure leaves ``path`` as it was (see ``write_atomic``).
     """
     count = require_int(count, "count")
     dim = require_int(dim, "dim")
-    if count < 0:
-        raise SchemaMismatch(f"EMB1 row count must be >= 0, got {count}")
-    if dim < 1:
-        raise SchemaMismatch(f"EMB1 rows need dim >= 1, got {dim}")
+    if not 0 <= count < 2**64:
+        raise SchemaMismatch(f"EMB1 row count must be in [0, 2**64), got {count}")
+    if not 1 <= dim < 2**32:
+        raise SchemaMismatch(f"EMB1 row dim must be in [1, 2**32), got {dim}")
     if dtype not in DTYPE_CODES:
         raise SchemaMismatch(f"dtype must be float32 or float64, got {dtype!r}")
     code = DTYPE_CODES[dtype]
@@ -195,36 +196,25 @@ def write_emb1_blocks(
 
     def chunks():
         yield header
-        written = 0
-        for block in blocks:
-            block = np.asarray(block, dtype=np.float64)
-            if block.ndim != 2 or block.shape[1] != dim:
-                raise DimensionMismatch(
-                    f"block has shape {block.shape}, expected rows of dim {dim}"
-                )
-            written += block.shape[0]
-            if written > count:
-                raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
+        for block in checked_blocks(blocks, count, dim):
             with np.errstate(over="ignore"):
                 out = np.ascontiguousarray(block, dtype=DTYPES[code])
             if not np.all(np.isfinite(out)):
                 raise NonFinite(f"refusing to write NaN or Inf values (as {dtype})")
             yield out
-        if written != count:
-            raise DimensionMismatch(f"blocks hold {written} rows, header declares {count}")
 
     write_atomic(path, chunks())
 
 
 def write_emb1(path, data: np.ndarray, dtype: str = "float64") -> None:
-    """Write a matrix as EMB1, the one-block call of ``write_emb1_blocks``.
+    """Write a matrix as EMB1, in ``row_blocks`` slices through ``write_emb1_blocks``.
 
     float64 round-trips bit-exactly.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
     if data.ndim != 2:
         raise SchemaMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    write_emb1_blocks(path, [data], data.shape[0], data.shape[1], dtype)
+    write_emb1_blocks(path, row_blocks(data), data.shape[0], data.shape[1], dtype)
 
 
 def _require(doc: dict, key: str):

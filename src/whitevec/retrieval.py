@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFinite, ZeroVector
-from .whitening import BLOCK_ROWS, require_int
+from .whitening import checked_blocks, require_int, row_blocks
 
 ZERO_NORM = 1e-30
 # Queries per score block: 64 x n float32 is 25.6 MB at n = 100k.
@@ -65,14 +65,10 @@ class BenchReport:
 def build_index(data: np.ndarray) -> CosineIndex:
     """Normalize rows and store them; zero-norm rows are dropped, not errors.
 
-    The matrix form of ``build_index_blocks``: rows go in as BLOCK_ROWS-row
+    The matrix form of ``build_index_blocks``: rows go in as ``row_blocks``
     slices, so the float64 temporaries are O(BLOCK_ROWS * d).
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    slices = (data[start : start + BLOCK_ROWS] for start in range(0, data.shape[0], BLOCK_ROWS))
-    return build_index_blocks(slices, data.shape[0], data.shape[1])
+    return build_index_blocks(row_blocks(data), *np.shape(data))
 
 
 def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> CosineIndex:
@@ -82,7 +78,8 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
     array, so beyond the index the call holds one block's temporaries.
     Normalization is row-local: the index equals ``build_index`` of the
     concatenated blocks bit for bit. The blocks must hold exactly
-    ``count`` rows (DimensionMismatch otherwise). ``count`` and ``dim``
+    ``count`` rows (DimensionMismatch otherwise) with finite values
+    whose norms stay within float64 (NonFinite). ``count`` and ``dim``
     must be integers (InvalidParameter, before anything is allocated).
     """
     count = require_int(count, "count")
@@ -92,16 +89,11 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
     vectors = np.empty((count, dim), dtype=np.float32)
     ids = np.empty(count, dtype=np.int64)
     seen = kept = 0
-    for block in blocks:
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[1] != dim:
-            raise DimensionMismatch(f"block has shape {block.shape}, expected rows of dim {dim}")
-        m = block.shape[0]
-        if seen + m > count:
-            raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
-        if not np.all(np.isfinite(block)):
-            raise NonFinite("embedding matrix contains NaN or Inf")
-        norms = np.linalg.norm(block, axis=1)
+    for block in checked_blocks(blocks, count, dim):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(block, axis=1)
+        if not np.all(np.isfinite(norms)):
+            raise NonFinite("rows contain NaN or Inf, or a row norm overflows float64")
         keep = np.flatnonzero(norms >= ZERO_NORM)
         np.divide(
             block[keep],
@@ -110,10 +102,8 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
             casting="same_kind",
         )
         ids[kept : kept + keep.size] = keep + seen
-        seen += m
+        seen += block.shape[0]
         kept += keep.size
-    if seen != count:
-        raise DimensionMismatch(f"blocks hold {seen} rows, expected {count}")
     return CosineIndex(vectors=vectors[:kept], ids=ids[:kept], norms_dropped=count - kept)
 
 
@@ -138,19 +128,21 @@ def top_k_batch(
 
     Returns one list per query, as ``top_k`` would. Raises
     DimensionMismatch for a wrong shape or ``k_results < 1``, NonFinite
-    for NaN/Inf, ZeroVector for a zero-norm query and InvalidParameter
-    for a ``k_results`` that is not an integer, before any scoring.
+    for NaN/Inf or a norm beyond float64, ZeroVector for a zero-norm
+    query and InvalidParameter for a ``k_results`` that is not an
+    integer, before any scoring.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise DimensionMismatch(
             f"queries have shape {queries.shape}, index dim is {index.dim}"
         )
-    if not np.all(np.isfinite(queries)):
-        raise NonFinite("queries contain NaN or Inf")
     # vecdot is the row-wise BLAS dot, the same sum np.linalg.norm takes
     # of one vector, so a lone query is normalized bit for bit as before.
-    qnorms = np.sqrt(np.vecdot(queries, queries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        qnorms = np.sqrt(np.vecdot(queries, queries))
+    if not np.all(np.isfinite(qnorms)):
+        raise NonFinite("queries contain NaN or Inf, or a query norm overflows float64")
     zero = np.flatnonzero(qnorms < ZERO_NORM)
     if zero.size:
         raise ZeroVector(f"zero-norm query at row {zero[0]}")

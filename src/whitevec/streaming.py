@@ -108,6 +108,14 @@ class MomentState:
         return out
 
 
+def fold(blocks) -> MomentState:
+    """Moments of a stream of row blocks: one ``update`` per block, in order."""
+    state = MomentState()
+    for block in blocks:
+        state.update(block)
+    return state
+
+
 def merge(a: MomentState, b: MomentState) -> MomentState:
     """Combine two partial states as if their streams were concatenated."""
     if a.count == 0:

@@ -20,7 +20,7 @@ from .errors import (
     NonFinite,
     RankDeficient,
 )
-from .streaming import MomentState, finalize
+from .streaming import MomentState, finalize, fold
 
 # Default rank tolerance is EPS_SCALE * trace(cov) / d, so it is unit-free.
 EPS_SCALE = 1e-12
@@ -47,13 +47,36 @@ class WhiteningTransform:
     eps: float
 
 
-def _as_matrix(data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
+def row_blocks(data: np.ndarray):
+    """The rows of an N x d matrix as BLOCK_ROWS-row slices, each made float64 on its own.
+
+    The shape is checked at the call (DimensionMismatch). An empty matrix
+    gives one empty slice, so a consumer's width check still runs.
+    """
+    data = np.asarray(data)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise NonFinite("embedding matrix contains NaN or Inf")
-    return data
+    starts = range(0, max(data.shape[0], 1), BLOCK_ROWS)
+    return (np.asarray(data[i : i + BLOCK_ROWS], dtype=np.float64) for i in starts)
+
+
+def checked_blocks(blocks, count: int, dim: int):
+    """Yield ``blocks`` as float64 (m, dim) matrices that hold exactly ``count`` rows.
+
+    DimensionMismatch for another shape, for a row past ``count`` as soon
+    as it arrives, and at the end for too few rows.
+    """
+    seen = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != dim:
+            raise DimensionMismatch(f"block has shape {block.shape}, expected rows of dim {dim}")
+        seen += block.shape[0]
+        if seen > count:
+            raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
+        yield block
+    if seen != count:
+        raise DimensionMismatch(f"blocks hold {seen} rows, expected {count}")
 
 
 def default_eps(cov: np.ndarray) -> float:
@@ -83,14 +106,13 @@ def require_int(value, name: str) -> int:
 def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransform:
     """Fit a whitening transform on the rows of ``data``.
 
-    The moments come from a one-block ``MomentState``; see
+    The rows are folded in ``row_blocks`` slices exactly as ``whitevec
+    fit`` folds a file, in O(BLOCK_ROWS * d) memory beyond ``data``. See
     ``fit_from_moments`` for ``k`` and ``eps``.
     """
     if isinstance(data, MomentState):
         raise InvalidParameter("fit takes an N x d matrix; fit moments with fit_from_moments")
-    state = MomentState()
-    state.update(_as_matrix(data))
-    return fit_from_moments(state, k, eps)
+    return fit_from_moments(fold(row_blocks(data)), k, eps)
 
 
 def fit_from_moments(

@@ -384,6 +384,21 @@ def test_fit_multi_block_file_matches_library(tmp_path):
     assert np.max(np.abs(t.mean - ref.mean)) <= 1e-12
 
 
+def test_fit_is_library_fit_bit_for_bit(tmp_path):
+    """Three full blocks and a ragged tail: the library folds the rows as the CLI does."""
+    rng = np.random.default_rng(12)
+    n = 3 * whitening.BLOCK_ROWS + 17
+    data = rng.standard_normal((n, 48)) @ rng.standard_normal((48, 48)) + 3.0
+    fileio.write_emb1(tmp_path / "big.emb1", data)
+    wpath = tmp_path / "w.json"
+    assert run(["fit", "--input", str(tmp_path / "big.emb1"), "--k", "full",
+                "--out", str(wpath)]) == 0
+    t = fileio.load_transform(wpath)
+    ref = whitening.fit(fileio.read_emb1(tmp_path / "big.emb1"), k="full")
+    assert t.fit_count == n
+    assert np.array_equal(t.matrix, ref.matrix) and np.array_equal(t.mean, ref.mean)
+
+
 def test_fit_zero_eps_collinear_keeps_numerical_rank(tmp_path, capsys):
     rng = np.random.default_rng(0)
     base = rng.standard_normal((2000, 3))
@@ -423,6 +438,22 @@ def test_overflowing_moments_are_runtime_errors(tmp_path, command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("NonFinite:") and "overflows float64" in err
     assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("huge", ["index", "query"])
+@pytest.mark.parametrize("command", ["search", "bench"])
+def test_overflowing_norms_are_runtime_errors(workdir, huge, command, capsys):
+    """A finite row whose squared norm overflows fails instead of scoring 0."""
+    rows = {"index": fileio.read_emb1(workdir / "data.emb1"), "query": np.ones((3, 4))}
+    rows[huge][1] = 1e200
+    for name, data in rows.items():
+        fileio.write_emb1(workdir / f"{name}.emb1", data)
+    assert run([command, "--index", str(workdir / "index.emb1"),
+                "--query", str(workdir / "query.emb1"), "--out", str(workdir / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NonFinite:") and "overflows float64" in err
+    assert not (workdir / "out").exists()
 
 
 def refuse_bulk_read(monkeypatch, bulk):

@@ -372,6 +372,13 @@ class TestBlockWriter:
             fileio.write_emb1_blocks(tmp_path / "out.emb1", [np.ones((2, 1))], count, dim)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("count, dim", [(2**64, 4), (2, 2**32)])
+    def test_header_fields_out_of_range_rejected(self, tmp_path, count, dim):
+        """count is a u64 and dim a u32 in the header; nothing is written beyond them."""
+        with pytest.raises(errors.SchemaMismatch):
+            fileio.write_emb1_blocks(tmp_path / "out.emb1", [], count, dim)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.filterwarnings("error")
     def test_float32_overflow_refused(self, tmp_path):
         """A finite float64 beyond the float32 range would be written as Inf."""

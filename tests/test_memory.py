@@ -6,6 +6,8 @@ numpy's buffers. Streamed commands hold a few blocks plus O(N) scores,
 far below half of one input as float64; a command that loads an input
 whole exceeds that on its own. ``search`` must hold its float32 index,
 so its bound is the index plus 1.5 score tiles: one tile at a time.
+The library ``fit`` of a matrix folds it in blocks too, so it holds
+far less than its input beyond that input.
 """
 
 import tracemalloc
@@ -69,3 +71,14 @@ def test_search_holds_index_and_one_score_tile(inputs):
     peak = peak_bytes(["search", "--index", str(d / "left.emb1"), "--query", str(d / "query.emb1"),
                        "--out", str(d / "hits.tsv")])
     assert peak < index_bytes + 1.5 * tile_bytes
+
+
+def test_library_fit_holds_blocks_not_a_centred_copy():
+    x = np.random.default_rng(4).standard_normal((N, D))
+    tracemalloc.start()
+    try:
+        whitening.fit(x, k=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < INPUT_BYTES / 2

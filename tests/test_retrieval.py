@@ -145,6 +145,14 @@ class TestBuildIndex:
         with pytest.raises(errors.InvalidParameter):
             retrieval.build_index_blocks(blocks(), count, dim)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_norm_rejected(self):
+        """A finite row whose squared norm overflows would be stored as zeros."""
+        data = np.ones((3, 4))
+        data[1] = 1e200
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            retrieval.build_index(data)
+
     def test_nonfinite_in_late_chunk_rejected(self):
         data = np.ones((whitening.BLOCK_ROWS + 3, 4))
         data[-1, 2] = np.inf
@@ -297,6 +305,15 @@ class TestTopKBatch:
         idx = retrieval.build_index(np.eye(2))
         with pytest.raises(errors.NonFinite):
             retrieval.top_k_batch(idx, np.array([[1.0, np.nan]]), 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_query_norm_rejected(self):
+        """A finite query whose squared norm overflows would score 0 everywhere."""
+        idx = retrieval.build_index(np.eye(2))
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            retrieval.top_k_batch(idx, np.array([[1.0, 0.0], [1e200, 1e200]]), 1)
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            retrieval.top_k(idx, np.array([1e200, 1e200]), 1)
 
     def test_top_k_equals_gemv_reference_bit_for_bit(self):
         rng = np.random.default_rng(11)

@@ -300,6 +300,24 @@ def test_pca_equivalence_unit_variance_per_column():
     assert np.allclose(variances, 1.0, atol=1e-8)
 
 
+class TestRowBlocks:
+    def test_slices_cover_the_rows_in_order(self):
+        x = np.arange(2 * whitening.BLOCK_ROWS + 6, dtype=np.float32).reshape(-1, 2)
+        blocks = list(whitening.row_blocks(x))
+        assert [b.shape[0] for b in blocks] == [whitening.BLOCK_ROWS, 3]
+        assert all(b.dtype == np.float64 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), x)
+
+    def test_empty_matrix_gives_one_empty_slice(self):
+        (block,) = whitening.row_blocks(np.empty((0, 5)))
+        assert block.shape == (0, 5)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_shape_checked_at_the_call(self, shape):
+        with pytest.raises(errors.DimensionMismatch):
+            whitening.row_blocks(np.ones(shape))
+
+
 class TestFitFromMoments:
     def test_fit_is_one_block_of_moments(self):
         rng = np.random.default_rng(7)
