@@ -185,8 +185,14 @@ def cmd_stats(args) -> int:
 
 
 def _load_index_and_queries(args):
+    """The index and the queries, each whitened by --transform if given.
+
+    Both headers are checked before the index is built.
+    """
     t = fileio.load_transform(args.transform) if args.transform else None
-    index = retrieval.build_index_blocks(*_emb1_blocks(args.index, t))
+    blocks, count, dim = _emb1_blocks(args.index, t)
+    _header_of_width(args.query, dim if t is None else t.input_dim)
+    index = retrieval.build_index_blocks(blocks, count, dim)
     queries = fileio.read_emb1(args.query)
     if t is not None:
         queries = whitening.apply_batch(t, queries)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
-from .retrieval import ZERO_NORM
+from .retrieval import row_norms
 from .streaming import MomentState, fold
 from .whitening import FULL, WhiteningTransform, require_int, row_blocks
 
@@ -101,19 +101,12 @@ def spearman(pred: np.ndarray, gold: np.ndarray) -> float:
 
 
 def _pair_cosines(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise cosines plus a validity mask (False where a side is ~zero).
-
-    A row holding NaN or Inf has a non-finite norm, so checking the norms
-    checks every value (NonFinite); so does a norm beyond float64.
-    """
-    dots = np.einsum("ij,ij->i", left, right)
-    nl = np.sqrt(np.einsum("ij,ij->i", left, left))
-    nr = np.sqrt(np.einsum("ij,ij->i", right, right))
-    if not (np.all(np.isfinite(nl)) and np.all(np.isfinite(nr))):
-        raise NonFinite("vectors contain NaN or Inf, or their norm overflows float64")
-    valid = (nl >= ZERO_NORM) & (nr >= ZERO_NORM)
-    cosines = np.zeros_like(dots)
-    np.divide(dots, nl * nr, out=cosines, where=valid)
+    """Row-wise cosines plus a validity mask (False where a side is ~zero); see ``row_norms``."""
+    nl, left_ok = row_norms(left)
+    nr, right_ok = row_norms(right)
+    valid = left_ok & right_ok
+    cosines = np.zeros(left.shape[0])
+    np.divide(np.vecdot(left, right), nl * nr, out=cosines, where=valid)
     return cosines, valid
 
 

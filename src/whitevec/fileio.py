@@ -295,8 +295,6 @@ def load_transform(path) -> WhiteningTransform:
     return WhiteningTransform(
         mean=mean,
         matrix=matrix,
-        input_dim=input_dim,
-        output_dim=output_dim,
         fit_count=fit_count,
         eps=float(eps),
     )

@@ -62,6 +62,19 @@ class BenchReport:
     repetitions: int
 
 
+def row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, nonzero): each row's L2 norm and whether it reaches ZERO_NORM.
+
+    The one norm of index rows, queries and eval pairs. NonFinite for NaN,
+    Inf or a norm beyond float64 (a non-finite value makes its norm so).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(rows, rows))
+    if not np.all(np.isfinite(norms)):
+        raise NonFinite("rows contain NaN or Inf, or a row norm overflows float64")
+    return norms, norms >= ZERO_NORM
+
+
 def build_index(data: np.ndarray) -> CosineIndex:
     """Normalize rows and store them; zero-norm rows are dropped, not errors.
 
@@ -90,11 +103,8 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
     ids = np.empty(count, dtype=np.int64)
     seen = kept = 0
     for block in checked_blocks(blocks, count, dim):
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(block, axis=1)
-        if not np.all(np.isfinite(norms)):
-            raise NonFinite("rows contain NaN or Inf, or a row norm overflows float64")
-        keep = np.flatnonzero(norms >= ZERO_NORM)
+        norms, nonzero = row_norms(block)
+        keep = np.flatnonzero(nonzero)
         np.divide(
             block[keep],
             norms[keep, np.newaxis],
@@ -137,13 +147,8 @@ def top_k_batch(
         raise DimensionMismatch(
             f"queries have shape {queries.shape}, index dim is {index.dim}"
         )
-    # vecdot is the row-wise BLAS dot, the same sum np.linalg.norm takes
-    # of one vector, so a lone query is normalized bit for bit as before.
-    with np.errstate(over="ignore", invalid="ignore"):
-        qnorms = np.sqrt(np.vecdot(queries, queries))
-    if not np.all(np.isfinite(qnorms)):
-        raise NonFinite("queries contain NaN or Inf, or a query norm overflows float64")
-    zero = np.flatnonzero(qnorms < ZERO_NORM)
+    qnorms, nonzero = row_norms(queries)
+    zero = np.flatnonzero(~nonzero)
     if zero.size:
         raise ZeroVector(f"zero-norm query at row {zero[0]}")
     k_results = require_int(k_results, "k_results")

@@ -37,14 +37,23 @@ BLOCK_ROWS = 16 * TILE_ROWS
 
 @dataclass(frozen=True)
 class WhiteningTransform:
-    """Fitted transform: mean (length d), matrix (d x k), dims, fit metadata."""
+    """Fitted transform: mean (length d), matrix (d x k), fit metadata.
+
+    The dims are read off the matrix, so they cannot disagree with it.
+    """
 
     mean: np.ndarray
     matrix: np.ndarray
-    input_dim: int
-    output_dim: int
     fit_count: int
     eps: float
+
+    @property
+    def input_dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 def row_blocks(data: np.ndarray):
@@ -80,7 +89,15 @@ def checked_blocks(blocks, count: int, dim: int):
 
 
 def default_eps(cov: np.ndarray) -> float:
-    return EPS_SCALE * float(np.trace(cov)) / cov.shape[0]
+    """EPS_SCALE * trace(cov) / d, finite whenever ``cov`` is.
+
+    Where the trace overflows, the diagonal is scaled before it is summed.
+    """
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(cov))
+    if math.isfinite(trace):
+        return EPS_SCALE * trace / cov.shape[0]
+    return float(np.sum(EPS_SCALE * np.diagonal(cov))) / cov.shape[0]
 
 
 def valid_eps(eps) -> bool:
@@ -165,8 +182,6 @@ def fit_from_moments(
     return WhiteningTransform(
         mean=mean,
         matrix=matrix,
-        input_dim=d,
-        output_dim=k,
         fit_count=n,
         eps=float(eps),
     )
@@ -188,8 +203,6 @@ def truncate(t: WhiteningTransform, k: int) -> WhiteningTransform:
     return WhiteningTransform(
         mean=t.mean,
         matrix=matrix,
-        input_dim=t.input_dim,
-        output_dim=k,
         fit_count=t.fit_count,
         eps=t.eps,
     )
@@ -202,7 +215,8 @@ def apply_batch(t: WhiteningTransform, data: np.ndarray) -> np.ndarray:
     with zero rows, so every row meets the same GEMM shape and a one-row
     batch is bit-identical to the same row inside a larger batch. Each
     tile is centred in one reused buffer: beyond its output, the call
-    allocates O(TILE_ROWS * d).
+    allocates O(TILE_ROWS * d). NonFinite for NaN or Inf in ``data`` and
+    for a finite row whose centring or product overflows float64.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -218,9 +232,12 @@ def apply_batch(t: WhiteningTransform, data: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(rows)):
             raise NonFinite("embedding matrix contains NaN or Inf")
         m = rows.shape[0]
-        np.subtract(rows, t.mean, out=tile[:m])
-        tile[m:] = 0.0
-        out[start : start + m] = (tile @ t.matrix)[:m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(rows, t.mean, out=tile[:m])
+            tile[m:] = 0.0
+            out[start : start + m] = (tile @ t.matrix)[:m]
+        if not np.all(np.isfinite(out[start : start + m])):
+            raise NonFinite("a whitened value overflows float64")
     return out
 
 

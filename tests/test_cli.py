@@ -456,6 +456,40 @@ def test_overflowing_norms_are_runtime_errors(workdir, huge, command, capsys):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_transform_overflow_keeps_old_output(workdir, capsys):
+    """A finite row that the transform's arithmetic overflows fails before anything is written."""
+    wpath, src, out = workdir / "w.json", workdir / "in.emb1", workdir / "out.emb1"
+    t = whitening.WhiteningTransform(
+        mean=np.array([-1.5e308, 0.0]), matrix=np.eye(2), fit_count=2, eps=0.0
+    )
+    fileio.save_transform(wpath, t)
+    fileio.write_emb1(src, np.array([[1.0, 2.0], [1.5e308, 0.0]]))
+    out.write_bytes(b"previous contents\n")
+    assert run(["transform", "--input", str(src), "--transform", str(wpath),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NonFinite:") and "overflows float64" in err
+    assert out.read_bytes() == b"previous contents\n"
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
+@pytest.mark.parametrize("command", ["search", "bench"])
+def test_query_width_checked_before_index_is_built(
+    workdir, fitted, monkeypatch, capsys, command, with_transform
+):
+    def build(*args):
+        raise AssertionError("the index was built before the query header was checked")
+
+    monkeypatch.setattr(retrieval, "build_index_blocks", build)
+    fileio.write_emb1(workdir / "q.emb1", np.ones((2, 3)))
+    argv = [command, "--index", str(workdir / "data.emb1"), "--query", str(workdir / "q.emb1")]
+    if with_transform:
+        argv += ["--transform", str(fitted)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("DimensionMismatch: " + str(workdir / "q.emb1"))
+
+
 def refuse_bulk_read(monkeypatch, bulk):
     """Make fileio.read_emb1 fail on ``bulk``, which must be streamed."""
     real = fileio.read_emb1

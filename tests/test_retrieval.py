@@ -65,6 +65,27 @@ def full_sort_oracle(index, query, k):
     return [(int(i), float(s)) for i, s in ranked[:k]]
 
 
+class TestRowNorms:
+    def test_norms_and_zero_cutoff(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0], [1e-31, 0.0], [1e-30, 0.0]])
+        norms, nonzero = retrieval.row_norms(rows)
+        assert np.array_equal(norms, [5.0, 0.0, 1e-31, 1e-30])
+        assert nonzero.tolist() == [True, False, False, True]
+
+    def test_matches_vecdot_bit_for_bit(self):
+        rows = np.random.default_rng(3).standard_normal((50, 33)) * 7.0
+        norms, _ = retrieval.row_norms(rows)
+        assert np.array_equal(norms, [np.sqrt(np.dot(r, r)) for r in rows])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_nonfinite_or_overflowing_rows_rejected(self, bad):
+        rows = np.ones((3, 4))
+        rows[2, 1] = bad
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            retrieval.row_norms(rows)
+
+
 class TestBuildIndex:
     def test_normalizes(self):
         idx = retrieval.build_index(np.array([[3.0, 4.0]]))

@@ -25,8 +25,6 @@ def random_transform(rng, d, k) -> whitening.WhiteningTransform:
     return whitening.WhiteningTransform(
         mean=rng.standard_normal(d),
         matrix=rng.standard_normal((d, k)) / np.sqrt(d),
-        input_dim=d,
-        output_dim=k,
         fit_count=1000,
         eps=0.0,
     )
@@ -148,6 +146,21 @@ class TestFit:
     def test_truncate_non_integer_k_rejected(self, k):
         with pytest.raises(errors.InvalidParameter):
             whitening.truncate(whitening.fit(FOUR_POINTS), k)
+
+    @pytest.mark.filterwarnings("error")
+    def test_default_eps_finite_when_trace_overflows(self):
+        """Every covariance entry is finite (diagonal 8.4e306), but their sum is not."""
+        rng = np.random.default_rng(0)
+        signs = np.stack([rng.permutation([1.0] * 10 + [-1.0] * 10) for _ in range(40)], axis=1)
+        x = signs * 2.9e153
+        t = whitening.fit(x, k="full")
+        assert t.output_dim == whitening.fit(x, k="full", eps=0.0).output_dim == 19
+        assert np.isfinite(t.eps) and t.eps > 0
+
+    def test_default_eps_is_scaled_trace(self):
+        cov = np.cov(np.random.default_rng(1).standard_normal((50, 7)), rowvar=False)
+        expected = whitening.EPS_SCALE * float(np.trace(cov)) / 7
+        assert whitening.default_eps(cov) == expected
 
     def test_zero_eps_accepted(self):
         t = whitening.fit(np.array([[0.0, 0.0], [2.0, 0.0]]), k="full", eps=0.0)
@@ -278,6 +291,35 @@ class TestApply:
             whitening.apply(transform, np.zeros(3))
         with pytest.raises(errors.DimensionMismatch):
             whitening.apply_batch(transform, np.zeros((2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "mean, matrix, row",
+        [
+            ([-1.5e308, 0.0], np.eye(2), [1.5e308, 0.0]),  # centring overflows
+            ([0.0, 0.0], [[1e300], [1e300]], [1e10, 1e10]),  # the product overflows
+        ],
+        ids=["centring", "product"],
+    )
+    def test_overflowing_finite_row_rejected(self, mean, matrix, row):
+        t = whitening.WhiteningTransform(
+            mean=np.array(mean), matrix=np.array(matrix), fit_count=2, eps=0.0
+        )
+        data = np.zeros((whitening.TILE_ROWS + 3, 2))
+        data[-2] = row
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            whitening.apply_batch(t, data)
+        with pytest.raises(errors.NonFinite, match="overflows float64"):
+            whitening.apply(t, np.array(row))
+
+    def test_dims_read_off_the_matrix(self):
+        t = whitening.WhiteningTransform(
+            mean=np.zeros(3), matrix=np.ones((3, 2)), fit_count=2, eps=0.0
+        )
+        assert (t.input_dim, t.output_dim) == (3, 2)
+        assert whitening.truncate(t, 1).output_dim == 1
+        with pytest.raises(errors.DimensionMismatch, match="expects 3"):
+            whitening.apply_batch(t, np.zeros((1, 2)))
 
 
 def test_whiteness_property():
