@@ -10,7 +10,7 @@ import numpy as np
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import row_norms
-from .streaming import MomentState, fold
+from .streaming import MomentState, as_float, fold
 from .whitening import FULL, WhiteningTransform, require_int, row_blocks
 
 
@@ -76,9 +76,20 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based); tied values share the average rank."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    """Fractional ranks (1-based); tied values share the average rank.
+
+    One argsort; each run of equal sorted values starting at 0-based
+    position ``start`` with ``count`` members gets ``start + (count + 1) / 2``,
+    the mean of its 1-based positions, which is exact in float64.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    del ordered
+    counts = np.diff(starts, append=values.shape[0])
+    ranks = np.empty(values.shape[0])
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
 
 
 def spearman(pred: np.ndarray, gold: np.ndarray) -> float:
@@ -95,13 +106,18 @@ def spearman(pred: np.ndarray, gold: np.ndarray) -> float:
         raise DegenerateInput("correlation is undefined for a constant sequence")
     rp = _average_ranks(pred)
     rg = _average_ranks(gold)
-    rp = rp - rp.mean()
-    rg = rg - rg.mean()
+    rp -= rp.mean()
+    rg -= rg.mean()
     return float(np.dot(rp, rg) / np.sqrt(np.dot(rp, rp) * np.dot(rg, rg)))
 
 
 def _pair_cosines(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise cosines plus a validity mask (False where a side is ~zero); see ``row_norms``."""
+    """Row-wise cosines plus a validity mask (False where a side is ~zero); see ``row_norms``.
+
+    float32 sides are upcast once, here, for both the norms and the dot products.
+    """
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
     nl, left_ok = row_norms(left)
     nr, right_ok = row_norms(right)
     valid = left_ok & right_ok
@@ -163,8 +179,8 @@ def _block_cosines(pairs, n: int, transforms):
     valid = np.empty((len(transforms), n), dtype=bool)
     seen, dim = 0, None
     for left, right in pairs:
-        left = np.asarray(left, dtype=np.float64)
-        right = np.asarray(right, dtype=np.float64)
+        left = as_float(left)
+        right = as_float(right)
         if left.ndim != 2 or left.shape != right.shape or dim not in (None, left.shape[1]):
             raise DimensionMismatch(
                 f"block pair has shapes {left.shape} and {right.shape}, expected rows of dim {dim}"

@@ -92,15 +92,17 @@ def _open_payload(f) -> Emb1Header:
 
 
 def _blocks(f, count: int, dim: int, dtype: np.dtype):
-    """Yield the payload as finite BLOCK_ROWS-row blocks in the file's dtype."""
+    """Yield the payload as finite, read-only BLOCK_ROWS-row blocks in the file's dtype.
+
+    Each block is read straight into a new array, so it is the only copy.
+    """
     for start in range(0, count, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, count - start)
-        raw = f.read(rows * dim * dtype.itemsize)
-        if len(raw) != rows * dim * dtype.itemsize:
+        block = np.empty((min(BLOCK_ROWS, count - start), dim), dtype=dtype)
+        if f.readinto(block) != block.nbytes:
             raise TruncatedPayload("file shrank while it was being read")
-        block = np.frombuffer(raw, dtype=dtype).reshape(rows, dim)
         if not np.all(np.isfinite(block)):
             raise NonFinite("embedding payload contains NaN or Inf")
+        block.setflags(write=False)
         yield block
 
 
@@ -127,17 +129,16 @@ def read_emb1(path) -> np.ndarray:
 
 
 def iter_emb1(path) -> Iterator[np.ndarray]:
-    """Stream an EMB1 file as float64 BLOCK_ROWS-row blocks without loading it whole.
+    """Stream an EMB1 file as BLOCK_ROWS-row blocks without loading it whole.
 
-    Every block is read-only. A float64 file's block is a view of the
-    bytes read, not a copy; a float32 file's block is upcast.
+    Every block is read-only and in the file's dtype: a float32 file
+    gives float32 blocks, which every whitevec consumer upcasts to
+    float64 in its first arithmetic step, so the values it computes
+    equal those of ``read_emb1`` bit for bit.
     """
     with open(path, "rb") as f:
         count, dim, dtype = _open_payload(f)
-        for block in _blocks(f, count, dim, dtype):
-            block = block.astype(np.float64, copy=False)
-            block.setflags(write=False)
-            yield block
+        yield from _blocks(f, count, dim, dtype)
 
 
 def write_atomic(path, chunks: Iterable) -> None:

@@ -65,9 +65,12 @@ class BenchReport:
 def row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(norms, nonzero): each row's L2 norm and whether it reaches ZERO_NORM.
 
-    The one norm of index rows, queries and eval pairs. NonFinite for NaN,
-    Inf or a norm beyond float64 (a non-finite value makes its norm so).
+    The one norm of index rows, queries and eval pairs, in float64 for
+    float32 rows too. NonFinite for NaN, Inf or a norm beyond float64 (a
+    non-finite value makes its norm so).
     """
+    # Upcast before vecdot: its dtype=float64 argument is ~5x slower on float32 rows.
+    rows = np.asarray(rows, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.vecdot(rows, rows))
     if not np.all(np.isfinite(norms)):

@@ -25,6 +25,18 @@ from .errors import DimensionMismatch, EmptyInput, NonFinite
 OVERFLOW = "mean or covariance overflows float64"
 
 
+def as_float(x) -> np.ndarray:
+    """``x`` as a float32 or float64 array, copied only to convert it.
+
+    float32, the narrow EMB1 dtype, is kept as it is: every consumer of
+    row blocks upcasts it to float64 in its first ufunc, which is exact,
+    so no float64 copy of a block is made ahead of use. Anything else
+    becomes float64.
+    """
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
 class MomentState:
     """Mergeable accumulator for streaming mean and covariance."""
 
@@ -40,9 +52,11 @@ class MomentState:
     def update(self, x: np.ndarray) -> None:
         """Fold a vector or an (m, d) row block into the state (in place).
 
-        A zero-row block leaves the state unchanged.
+        A zero-row block leaves the state unchanged. float32 rows are
+        upcast as they are centred, into the one float64 buffer the
+        scatter GEMM reads.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = as_float(x)
         block = x[np.newaxis, :] if x.ndim == 1 else x
         if block.ndim != 2:
             raise DimensionMismatch(
@@ -61,8 +75,8 @@ class MomentState:
             mean, scatter = block[0], 0.0  # a single row's own scatter is zero
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                mean = block.mean(axis=0)
-                centered = block - mean
+                mean = block.mean(axis=0, dtype=np.float64)
+                centered = np.subtract(block, mean, dtype=np.float64)
                 scatter = centered.T @ centered
             # BLAS worker threads do not report overflow to numpy, so check.
             # A scatter is a sum of outer products: by Cauchy-Schwarz its

@@ -20,7 +20,7 @@ from .errors import (
     NonFinite,
     RankDeficient,
 )
-from .streaming import MomentState, finalize, fold
+from .streaming import MomentState, as_float, finalize, fold
 
 # Default rank tolerance is EPS_SCALE * trace(cov) / d, so it is unit-free.
 EPS_SCALE = 1e-12
@@ -39,13 +39,22 @@ BLOCK_ROWS = 16 * TILE_ROWS
 class WhiteningTransform:
     """Fitted transform: mean (length d), matrix (d x k), fit metadata.
 
-    The dims are read off the matrix, so they cannot disagree with it.
+    The dims are read off the matrix, so they cannot disagree with it;
+    a matrix that is not 2-D, or a mean that is not one value per matrix
+    row, raises DimensionMismatch at construction.
     """
 
     mean: np.ndarray
     matrix: np.ndarray
     fit_count: int
     eps: float
+
+    def __post_init__(self):
+        if np.ndim(self.matrix) != 2:
+            raise DimensionMismatch(f"matrix has shape {np.shape(self.matrix)}, expected d x k")
+        rows = np.shape(self.matrix)[0]
+        if np.shape(self.mean) != (rows,):
+            raise DimensionMismatch(f"mean has shape {np.shape(self.mean)}, expected ({rows},)")
 
     @property
     def input_dim(self) -> int:
@@ -70,14 +79,14 @@ def row_blocks(data: np.ndarray):
 
 
 def checked_blocks(blocks, count: int, dim: int):
-    """Yield ``blocks`` as float64 (m, dim) matrices that hold exactly ``count`` rows.
+    """Yield ``blocks`` as float (m, dim) matrices (``as_float``) that hold exactly ``count`` rows.
 
     DimensionMismatch for another shape, for a row past ``count`` as soon
     as it arrives, and at the end for too few rows.
     """
     seen = 0
     for block in blocks:
-        block = np.asarray(block, dtype=np.float64)
+        block = as_float(block)
         if block.ndim != 2 or block.shape[1] != dim:
             raise DimensionMismatch(f"block has shape {block.shape}, expected rows of dim {dim}")
         seen += block.shape[0]
@@ -215,10 +224,11 @@ def apply_batch(t: WhiteningTransform, data: np.ndarray) -> np.ndarray:
     with zero rows, so every row meets the same GEMM shape and a one-row
     batch is bit-identical to the same row inside a larger batch. Each
     tile is centred in one reused buffer: beyond its output, the call
-    allocates O(TILE_ROWS * d). NonFinite for NaN or Inf in ``data`` and
-    for a finite row whose centring or product overflows float64.
+    allocates O(TILE_ROWS * d); float32 rows are upcast by the centring
+    itself. NonFinite for NaN or Inf in ``data`` and for a finite row
+    whose centring or product overflows float64.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = as_float(data)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
     if data.shape[1] != t.input_dim:

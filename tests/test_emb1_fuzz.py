@@ -2,7 +2,9 @@
 
 Each case starts from a valid file, mutates the magic, version, dtype
 code, count or dim, and truncates or extends the payload. Both readers
-must agree bit for bit or raise the same WhitevecError subclass, and
+must agree bit for bit (the streamed blocks keep the file's dtype and
+are read-only; upcast, they equal the bulk read) or raise the same
+WhitevecError subclass, and
 the CLI commands that read EMB1 must exit 0 or 1 without raising.
 """
 
@@ -74,10 +76,12 @@ def test_readers_agree_and_cli_exits_cleanly(tmp_path_factory, raw, batch_rows):
             assert bulk is streamed is errors.TruncatedPayload
         if isinstance(bulk, np.ndarray):
             assert isinstance(streamed, list)
-            joined = np.concatenate(streamed) if streamed else np.empty((0, bulk.shape[1]))
-            assert joined.dtype == bulk.dtype == np.float64
+            dtype = fileio.read_emb1_header(path).dtype
+            assert all(b.dtype == dtype and not b.flags.writeable for b in streamed)
+            joined = np.concatenate([np.empty((0, bulk.shape[1]), dtype), *streamed])
+            assert bulk.dtype == np.float64
             assert joined.shape == bulk.shape
-            assert joined.tobytes() == bulk.tobytes()
+            assert joined.astype(np.float64).tobytes() == bulk.tobytes()
         else:
             assert streamed is bulk
 

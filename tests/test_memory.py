@@ -7,7 +7,9 @@ far below half of one input as float64; a command that loads an input
 whole exceeds that on its own. ``search`` must hold its float32 index,
 so its bound is the index plus 1.5 score tiles: one tile at a time.
 The library ``fit`` of a matrix folds it in blocks too, so it holds
-far less than its input beyond that input.
+far less than its input beyond that input. A float32 file's blocks stay
+float32 until each consumer's first ufunc, so ``fit`` and ``transform``
+of one hold less than two float64 blocks.
 """
 
 import tracemalloc
@@ -33,6 +35,7 @@ def inputs(tmp_path_factory):
 
     fileio.write_emb1_blocks(d / "left.emb1", blocks(1), N, D)
     fileio.write_emb1_blocks(d / "right.emb1", blocks(2), N, D)
+    fileio.write_emb1_blocks(d / "left32.emb1", blocks(1), N, D, dtype="float32")
     rng = np.random.default_rng(3)
     (d / "gold.txt").write_text("".join(f"{g}\n" for g in rng.uniform(0, 5, N)))
     fileio.write_emb1(d / "query.emb1", rng.standard_normal((3 * retrieval.QUERY_TILE, D)))
@@ -62,6 +65,18 @@ def test_streamed_commands_hold_blocks_not_files(inputs, command):
                       "--transform", str(d / "w.json")],
     }[command]
     assert peak_bytes([*argv, "--out", str(d / f"{command}.out")]) < INPUT_BYTES / 2
+
+
+@pytest.mark.parametrize("command", ["fit", "transform"])
+def test_float32_input_is_not_widened_ahead_of_use(inputs, command):
+    d = inputs
+    src = ["--input", str(d / "left32.emb1")]
+    argv = {
+        "fit": ["fit", *src, "--k", "16"],
+        "transform": ["transform", *src, "--transform", str(d / "w.json")],
+    }[command]
+    two_float64_blocks = whitening.BLOCK_ROWS * D * 16
+    assert peak_bytes([*argv, "--out", str(d / f"{command}32.out")]) < two_float64_blocks
 
 
 def test_search_holds_index_and_one_score_tile(inputs):

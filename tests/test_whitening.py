@@ -321,6 +321,15 @@ class TestApply:
         with pytest.raises(errors.DimensionMismatch, match="expects 3"):
             whitening.apply_batch(t, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize(
+        "mean, matrix",
+        [(np.zeros(3), np.eye(2)), (np.zeros((2, 1)), np.eye(2)), (np.zeros(2), np.ones(2))],
+        ids=["mean-length", "mean-2d", "matrix-1d"],
+    )
+    def test_mean_and_matrix_shapes_checked_at_construction(self, mean, matrix):
+        with pytest.raises(errors.DimensionMismatch):
+            whitening.WhiteningTransform(mean=mean, matrix=matrix, fit_count=2, eps=0.0)
+
 
 def test_whiteness_property():
     rng = np.random.default_rng(5)
