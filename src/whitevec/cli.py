@@ -124,16 +124,14 @@ def _fit_moments(args, dim: int) -> streaming.MomentState:
     return streaming.fold(fileio.iter_emb1(args.fit))
 
 
-def _pairs(args):
-    return zip(fileio.iter_emb1(args.left), fileio.iter_emb1(args.right))
-
-
 def cmd_eval(args) -> int:
     dim, gold = _pair_inputs(args)
     transform = None
     if args.k is not None:
         transform = whitening.fit_from_moments(_fit_moments(args, dim), k=args.k)
-    (report,) = evaluation.evaluate_blocks(_pairs(args), gold, [transform])
+    (report,) = evaluation.evaluate_blocks(
+        fileio.iter_emb1(args.left), fileio.iter_emb1(args.right), gold, [transform]
+    )
     if args.report == "json":
         doc = {
             "dataset": args.dataset,
@@ -155,7 +153,9 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     dim, gold = _pair_inputs(args)
     transforms = evaluation.sweep_transforms(_fit_moments(args, dim), args.ks)
-    reports = evaluation.evaluate_blocks(_pairs(args), gold, transforms)
+    reports = evaluation.evaluate_blocks(
+        fileio.iter_emb1(args.left), fileio.iter_emb1(args.right), gold, transforms
+    )
     done = {t.output_dim for t in transforms}
     for k in args.ks:
         if k != FULL and k not in done:
@@ -174,9 +174,10 @@ def cmd_stats(args) -> int:
     mean, cov = streaming.finalize(state)
     eig = linalg.sym_eig(cov)
     top = eig.eigenvalues[:10]
+    (mean_norm,), _ = retrieval.row_norms(mean[np.newaxis])
     lines = [
         f"n\t{state.count}\n",
-        f"mean_norm\t{np.linalg.norm(mean):.12g}\n",
+        f"mean_norm\t{mean_norm:.12g}\n",
         f"trace\t{np.trace(cov):.12g}\n",
         "top_eigenvalues\t" + " ".join(f"{v:.12g}" for v in top) + "\n",
     ]

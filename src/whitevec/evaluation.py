@@ -3,15 +3,15 @@ by Spearman correlation, with optional whitening and a dimensionality sweep.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 
 import numpy as np
 
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import row_norms
-from .streaming import MomentState, as_float, fold
-from .whitening import FULL, WhiteningTransform, require_int, row_blocks
+from .streaming import MomentState, fold
+from .whitening import FULL, WhiteningTransform, checked_blocks, require_int, row_blocks
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,15 @@ def evaluate(
 ) -> EvalReport:
     """Spearman correlation of per-pair cosine similarity against gold.
 
-    The one-transform matrix form of ``evaluate_blocks``: the pairs go in
-    as ``row_blocks`` slices, so a transform adds O(BLOCK_ROWS * k)
+    The one-transform matrix form of ``evaluate_blocks``: each side goes
+    in as ``row_blocks`` slices, so a transform adds O(BLOCK_ROWS * k)
     memory, not two N x k copies.
     """
-    pairs = zip(row_blocks(data.left), row_blocks(data.right))
-    return evaluate_blocks(pairs, data.gold, [transform])[0]
+    return evaluate_blocks(row_blocks(data.left), row_blocks(data.right), data.gold, [transform])[0]
 
 
-def evaluate_blocks(pairs, gold: np.ndarray, transforms) -> list[EvalReport]:
-    """Score (left, right) row-block pairs against ``gold`` under each transform.
+def evaluate_blocks(lefts, rights, gold: np.ndarray, transforms) -> list[EvalReport]:
+    """Score two row-block streams, pair by pair, against ``gold`` under each transform.
 
     ``transforms`` lists WhiteningTransforms, with None for the raw
     embeddings; one EvalReport comes back per entry, in order. Each
@@ -150,13 +149,13 @@ def evaluate_blocks(pairs, gold: np.ndarray, transforms) -> list[EvalReport]:
     time (O(N) temporaries). Pairs where either (transformed) side
     has near-zero norm are skipped and counted rather than scored as 0.
     Every step is row-local, so the scores do not depend on how the
-    pairs are split into blocks. The blocks must be finite, of one width
-    that every transform takes, and hold exactly ``len(gold)`` pairs
-    (DimensionMismatch, NonFinite otherwise).
+    pairs are split into blocks. Each side must pass ``checked_blocks``
+    for ``len(gold)`` rows, split like the other, with finite values that
+    every transform takes (DimensionMismatch, NonFinite otherwise).
     """
     gold = np.asarray(gold, dtype=np.float64)
     transforms = list(transforms)
-    cosines, valid, dim = _block_cosines(pairs, gold.shape[0], transforms)
+    cosines, valid, dim = _block_cosines(lefts, rights, gold.shape[0], transforms)
     reports = []
     for t, cos, ok in zip(transforms, cosines, valid):
         reports.append(
@@ -170,7 +169,7 @@ def evaluate_blocks(pairs, gold: np.ndarray, transforms) -> list[EvalReport]:
     return reports
 
 
-def _block_cosines(pairs, n: int, transforms):
+def _block_cosines(lefts, rights, n: int, transforms):
     """(cosines, valid, dim): one row of n cosines and validity flags per transform.
 
     A function of its own, so the last block pair is freed before ranking.
@@ -178,18 +177,13 @@ def _block_cosines(pairs, n: int, transforms):
     cosines = np.empty((len(transforms), n))
     valid = np.empty((len(transforms), n), dtype=bool)
     seen, dim = 0, None
+    pairs = zip_longest(checked_blocks(lefts, n, None), checked_blocks(rights, n, None))
     for left, right in pairs:
-        left = as_float(left)
-        right = as_float(right)
-        if left.ndim != 2 or left.shape != right.shape or dim not in (None, left.shape[1]):
-            raise DimensionMismatch(
-                f"block pair has shapes {left.shape} and {right.shape}, expected rows of dim {dim}"
-            )
-        dim = left.shape[1]
+        # A side that has run out is None, whose shape () matches no block's.
+        if np.shape(left) != np.shape(right):
+            raise DimensionMismatch(f"block pair has shapes {np.shape(left)} and {np.shape(right)}")
         rows = slice(seen, seen + left.shape[0])
-        seen += left.shape[0]
-        if seen > n:
-            raise DimensionMismatch(f"blocks hold more than the {n} gold scores")
+        seen, dim = rows.stop, left.shape[1]
         for i, t in enumerate(transforms):
             if t is None:
                 cosines[i, rows], valid[i, rows] = _pair_cosines(left, right)
@@ -197,8 +191,6 @@ def _block_cosines(pairs, n: int, transforms):
                 cosines[i, rows], valid[i, rows] = _pair_cosines(
                     whitening.apply_batch(t, left), whitening.apply_batch(t, right)
                 )
-    if seen != n:
-        raise DimensionMismatch(f"blocks hold {seen} pairs, gold has {n} scores")
     return cosines, valid, dim
 
 
@@ -241,6 +233,5 @@ def sweep_k(
     if fit_data is None:
         fit_data = fit_corpus(data)
     transforms = sweep_transforms(fit_data, ks)
-    pairs = zip(row_blocks(data.left), row_blocks(data.right))
-    reports = evaluate_blocks(pairs, data.gold, transforms)
+    reports = evaluate_blocks(row_blocks(data.left), row_blocks(data.right), data.gold, transforms)
     return [(t.output_dim, r.spearman_rho) for t, r in zip(transforms, reports)]

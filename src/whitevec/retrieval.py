@@ -234,7 +234,9 @@ def benchmark(
     MIN_REPETITIONS.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[0] == 0:
+    if queries.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix of queries, got shape {queries.shape}")
+    if queries.shape[0] == 0:
         raise EmptyInput("benchmark needs at least one query")
     repetitions = require_int(repetitions, "repetitions")
     if repetitions < MIN_REPETITIONS:

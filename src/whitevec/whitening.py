@@ -66,29 +66,33 @@ class WhiteningTransform:
 
 
 def row_blocks(data: np.ndarray):
-    """The rows of an N x d matrix as BLOCK_ROWS-row slices, each made float64 on its own.
+    """The rows of an N x d matrix as BLOCK_ROWS-row slices, each ``as_float`` on its own.
 
-    The shape is checked at the call (DimensionMismatch). An empty matrix
-    gives one empty slice, so a consumer's width check still runs.
+    A float32 matrix gives float32 views, as ``iter_emb1`` gives a float32
+    file's blocks; any other dtype gives float64 copies, one slice at a
+    time. The shape is checked at the call (DimensionMismatch). An empty
+    matrix gives one empty slice, so a consumer's width check still runs.
     """
     data = np.asarray(data)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
     starts = range(0, max(data.shape[0], 1), BLOCK_ROWS)
-    return (np.asarray(data[i : i + BLOCK_ROWS], dtype=np.float64) for i in starts)
+    return (as_float(data[i : i + BLOCK_ROWS]) for i in starts)
 
 
-def checked_blocks(blocks, count: int, dim: int):
+def checked_blocks(blocks, count: int, dim: int | None):
     """Yield ``blocks`` as float (m, dim) matrices (``as_float``) that hold exactly ``count`` rows.
 
-    DimensionMismatch for another shape, for a row past ``count`` as soon
-    as it arrives, and at the end for too few rows.
+    ``dim=None`` takes the width of the first block. DimensionMismatch
+    for another shape, for a row past ``count`` as soon as it arrives,
+    and at the end for too few rows.
     """
     seen = 0
     for block in blocks:
         block = as_float(block)
-        if block.ndim != 2 or block.shape[1] != dim:
+        if block.ndim != 2 or dim not in (None, block.shape[1]):
             raise DimensionMismatch(f"block has shape {block.shape}, expected rows of dim {dim}")
+        dim = block.shape[1]
         seen += block.shape[0]
         if seen > count:
             raise DimensionMismatch(f"blocks hold more than the declared {count} rows")

@@ -440,6 +440,15 @@ def test_overflowing_moments_are_runtime_errors(tmp_path, command, capsys):
     assert not (tmp_path / "w.json").exists()
 
 
+def test_stats_mean_norm_overflow_is_a_runtime_error(tmp_path, capsys):
+    """The mean is finite, but its norm overflows float64: NonFinite, not inf."""
+    path = tmp_path / "huge.emb1"
+    fileio.write_emb1(path, np.full((3, 128), 1e200))
+    assert run(["stats", "--input", str(path), "--out", str(tmp_path / "stats.tsv")]) == 1
+    assert capsys.readouterr().err.startswith("NonFinite:")
+    assert not (tmp_path / "stats.tsv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("huge", ["index", "query"])
 @pytest.mark.parametrize("command", ["search", "bench"])

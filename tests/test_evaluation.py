@@ -274,8 +274,9 @@ class TestEvaluateBlocks:
         data = PairedDataset(left=left, right=right, gold=gold)
         transforms = [None, *evaluation.sweep_transforms(evaluation.fit_corpus(data), [1, 3, "full"])]
         splits = [0, 7, 7, 30, 50]  # uneven blocks, one of them empty
-        pairs = [(left[a:b], right[a:b]) for a, b in zip(splits, splits[1:])]
-        reports = evaluation.evaluate_blocks(iter(pairs), gold, transforms)
+        lefts = (left[a:b] for a, b in zip(splits, splits[1:]))
+        rights = (right[a:b] for a, b in zip(splits, splits[1:]))
+        reports = evaluation.evaluate_blocks(lefts, rights, gold, transforms)
         assert reports == [evaluation.evaluate(data, t) for t in transforms]
         assert [r.dim_used for r in reports] == [5, 1, 3, 5]
 
@@ -283,9 +284,9 @@ class TestEvaluateBlocks:
     def test_pair_count_must_match_gold(self, rows):
         rng = np.random.default_rng(21)
         left, right, gold = self.make(rng)
-        pairs = [(left[:m], right[:m]) for m in rows]
         with pytest.raises(errors.DimensionMismatch, match="50"):
-            evaluation.evaluate_blocks(pairs, gold, [None])
+            lefts, rights = [left[:m] for m in rows], [right[:m] for m in rows]
+            evaluation.evaluate_blocks(lefts, rights, gold, [None])
 
     def test_blocks_checked(self):
         rng = np.random.default_rng(22)
@@ -293,19 +294,34 @@ class TestEvaluateBlocks:
         t = whitening.fit(rng.standard_normal((20, 3)), k=2)
         bad = {
             errors.DimensionMismatch: [
-                ([(left[:2], right[:2]), (left[2:, :4], right[2:, :4])], [None]),
-                ([(left, right[:, :4])], [None]),
-                ([(left, right)], [t]),
+                ([left[:2], left[2:, :4]], [right[:2], right[2:, :4]], [None]),
+                ([left], [right[:, :4]], [None]),
+                ([left], [right], [t]),
             ],
             errors.NonFinite: [
-                ([(left, np.where(right > 2.5, np.nan, right))], [None]),
-                ([(np.where(left > 2.5, np.inf, left), right)], [None]),
+                ([left], [np.where(right > 2.5, np.nan, right)], [None]),
+                ([np.where(left > 2.5, np.inf, left)], [right], [None]),
             ],
         }
         for error, cases in bad.items():
-            for pairs, transforms in cases:
+            for lefts, rights, transforms in cases:
                 with pytest.raises(error):
-                    evaluation.evaluate_blocks(pairs, gold, transforms)
+                    evaluation.evaluate_blocks(lefts, rights, gold, transforms)
+
+    def test_sides_must_split_alike(self):
+        rng = np.random.default_rng(25)
+        left, right, gold = self.make(rng, n=5)
+        unpaired, miscounted = "block pair has shapes", "rows"
+        bad = [
+            ([left[:3], left[3:]], [right], gold, unpaired),  # [3, 2] against [5]
+            ([left, left[5:]], [right], gold, unpaired),  # an extra empty block on one side
+            ([right], [left, left[5:]], gold, unpaired),
+            ([left], [right], gold[:4], miscounted),  # a count that does not match gold
+            ([left[:4]], [right[:4]], gold, miscounted),
+        ]
+        for lefts, rights, scores, message in bad:
+            with pytest.raises(errors.DimensionMismatch, match=message):
+                evaluation.evaluate_blocks(lefts, rights, scores, [None])
 
     def test_empty_dataset_still_checks_transform_width(self):
         t = whitening.fit(np.random.default_rng(23).standard_normal((20, 3)), k=2)

@@ -386,6 +386,16 @@ class TestBenchmark:
         with pytest.raises(errors.EmptyInput):
             retrieval.benchmark(idx, rng.standard_normal((2, 4)), 1, repetitions=2)
 
+    @pytest.mark.parametrize(
+        "shape, error",
+        [((4,), errors.DimensionMismatch), ((2, 3, 4), errors.DimensionMismatch),
+         ((0, 4), errors.EmptyInput)],
+    )
+    def test_queries_must_be_a_matrix_of_rows(self, shape, error):
+        idx = retrieval.build_index(np.random.default_rng(6).standard_normal((10, 4)))
+        with pytest.raises(error, match="quer"):
+            retrieval.benchmark(idx, np.ones(shape), 1, repetitions=3)
+
     @pytest.mark.parametrize("reps", [3.5, 3.0, "3"])
     def test_non_integer_repetitions_rejected(self, reps):
         rng = np.random.default_rng(6)

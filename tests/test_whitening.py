@@ -356,8 +356,16 @@ class TestRowBlocks:
         x = np.arange(2 * whitening.BLOCK_ROWS + 6, dtype=np.float32).reshape(-1, 2)
         blocks = list(whitening.row_blocks(x))
         assert [b.shape[0] for b in blocks] == [whitening.BLOCK_ROWS, 3]
-        assert all(b.dtype == np.float64 for b in blocks)
+        assert all(b.dtype == np.float32 for b in blocks)
         assert np.array_equal(np.concatenate(blocks), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16, np.int64, np.int8])
+    def test_float32_kept_other_dtypes_widened_to_float64(self, dtype):
+        x = np.arange(12).reshape(6, 2).astype(dtype)
+        (block,) = whitening.row_blocks(x)
+        assert block.dtype == (np.float32 if dtype == np.float32 else np.float64)
+        assert np.shares_memory(block, x) == (dtype in (np.float32, np.float64))
+        assert np.array_equal(block, x)
 
     def test_empty_matrix_gives_one_empty_slice(self):
         (block,) = whitening.row_blocks(np.empty((0, 5)))
