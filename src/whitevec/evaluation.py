@@ -10,35 +10,27 @@ import numpy as np
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import row_norms
-from .streaming import MomentState, fold
+from .streaming import MomentState, as_float, fold
 from .whitening import FULL, WhiteningTransform, checked_blocks, require_int, row_blocks
 
 
 @dataclass(frozen=True)
 class PairedDataset:
-    """N embedding pairs plus a gold similarity score per pair."""
+    """N embedding pairs plus a gold similarity score per pair.
+
+    Sides stay as ``as_float`` gives them (float32 kept, float64 not
+    copied). Shapes are checked here, values where they are read.
+    """
 
     left: np.ndarray
     right: np.ndarray
     gold: np.ndarray
 
     def __post_init__(self):
-        left = np.asarray(self.left, dtype=np.float64)
-        right = np.asarray(self.right, dtype=np.float64)
+        left, right = as_float(self.left), as_float(self.right)
         gold = np.asarray(self.gold, dtype=np.float64)
-        if left.ndim != 2 or right.ndim != 2 or gold.ndim != 1:
-            raise DimensionMismatch("expected two N x d matrices and a length-N vector")
-        if left.shape != right.shape or left.shape[0] != gold.shape[0]:
-            raise DimensionMismatch(
-                f"inconsistent shapes: left {left.shape}, right {right.shape}, "
-                f"gold {gold.shape}"
-            )
-        if not (
-            np.all(np.isfinite(left))
-            and np.all(np.isfinite(right))
-            and np.all(np.isfinite(gold))
-        ):
-            raise NonFinite("dataset contains NaN or Inf")
+        if left.ndim != 2 or left.shape != right.shape or gold.shape != left.shape[:1]:
+            raise DimensionMismatch(f"unpaired shapes {left.shape}, {right.shape}, {gold.shape}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "gold", gold)
@@ -152,8 +144,9 @@ def evaluate_blocks(lefts, rights, gold: np.ndarray, transforms) -> list[EvalRep
     pairs are split into blocks. Each side must pass ``checked_blocks``
     for ``len(gold)`` rows, split like the other, with finite values that
     every transform takes (DimensionMismatch, NonFinite otherwise).
+    ``gold`` is checked first, by ``_checked_gold``.
     """
-    gold = np.asarray(gold, dtype=np.float64)
+    gold = _checked_gold(gold)
     transforms = list(transforms)
     cosines, valid, dim = _block_cosines(lefts, rights, gold.shape[0], transforms)
     reports = []
@@ -167,6 +160,16 @@ def evaluate_blocks(lefts, rights, gold: np.ndarray, transforms) -> list[EvalRep
             )
         )
     return reports
+
+
+def _checked_gold(gold) -> np.ndarray:
+    """``gold`` as a float64 vector: DimensionMismatch unless 1-D, NonFinite unless finite."""
+    gold = np.asarray(gold, dtype=np.float64)
+    if gold.ndim != 1:
+        raise DimensionMismatch(f"gold has shape {gold.shape}, expected a vector")
+    if not np.all(np.isfinite(gold)):
+        raise NonFinite("gold scores contain NaN or Inf")
+    return gold
 
 
 def _block_cosines(lefts, rights, n: int, transforms):

@@ -210,12 +210,10 @@ def write_emb1_blocks(
 def write_emb1(path, data: np.ndarray, dtype: str = "float64") -> None:
     """Write a matrix as EMB1, in ``row_blocks`` slices through ``write_emb1_blocks``.
 
-    float64 round-trips bit-exactly.
+    ``row_blocks`` checks the shape (DimensionMismatch) before anything
+    is written. float64 round-trips bit-exactly.
     """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise SchemaMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    write_emb1_blocks(path, row_blocks(data), data.shape[0], data.shape[1], dtype)
+    write_emb1_blocks(path, row_blocks(data), *np.shape(data), dtype)
 
 
 def _require(doc: dict, key: str):

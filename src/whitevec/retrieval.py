@@ -96,12 +96,15 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
     concatenated blocks bit for bit. The blocks must hold exactly
     ``count`` rows (DimensionMismatch otherwise) with finite values
     whose norms stay within float64 (NonFinite). ``count`` and ``dim``
-    must be integers (InvalidParameter, before anything is allocated).
+    must be integers (InvalidParameter), with ``count >= 1`` (EmptyInput)
+    and ``dim >= 1`` (DimensionMismatch), before anything is allocated.
     """
     count = require_int(count, "count")
     dim = require_int(dim, "dim")
     if count < 1:
         raise EmptyInput(f"cannot index {count} vectors")
+    if dim < 1:
+        raise DimensionMismatch(f"cannot index rows of dim {dim}")
     vectors = np.empty((count, dim), dtype=np.float32)
     ids = np.empty(count, dtype=np.int64)
     seen = kept = 0
@@ -124,14 +127,9 @@ def top_k(index: CosineIndex, query: np.ndarray, k_results: int) -> list[tuple[i
     """Exact top-k by cosine, ties broken by ascending id.
 
     Returns at most ``k_results`` (id, score) pairs, fewer if the index is
-    smaller. This is the one-row call of ``top_k_batch``.
+    smaller. This is the one-row call of ``top_k_batch``, which checks it.
     """
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (index.dim,):
-        raise DimensionMismatch(
-            f"query has shape {query.shape}, index dim is {index.dim}"
-        )
-    return top_k_batch(index, query[np.newaxis, :], k_results)[0]
+    return top_k_batch(index, np.asarray(query)[np.newaxis], k_results)[0]
 
 
 def top_k_batch(

@@ -256,10 +256,5 @@ def apply_batch(t: WhiteningTransform, data: np.ndarray) -> np.ndarray:
 
 
 def apply(t: WhiteningTransform, x: np.ndarray) -> np.ndarray:
-    """Transform a single vector: (x - mean) @ matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (t.input_dim,):
-        raise DimensionMismatch(
-            f"vector has shape {x.shape}, transform expects ({t.input_dim},)"
-        )
-    return apply_batch(t, x[np.newaxis, :])[0]
+    """Transform a single vector: the one-row call of ``apply_batch``, which checks it."""
+    return apply_batch(t, np.asarray(x)[np.newaxis])[0]

@@ -170,6 +170,23 @@ class TestEvaluate:
                 left=np.ones((3, 2)), right=np.ones((4, 2)), gold=np.ones(3)
             )
 
+    @pytest.mark.parametrize("gold", [np.float64(1.0), np.ones((3, 1)), np.ones(4)])
+    def test_gold_must_be_one_score_per_pair(self, gold):
+        with pytest.raises(errors.DimensionMismatch):
+            PairedDataset(left=np.ones((3, 2)), right=np.ones((3, 2)), gold=gold)
+
+    @pytest.mark.parametrize("field", ["left", "right", "gold"])
+    def test_nan_raises_where_it_is_read(self, field):
+        rng = np.random.default_rng(12)
+        fields = {"left": rng.standard_normal((20, 3)), "right": rng.standard_normal((20, 3)),
+                  "gold": np.arange(20.0)}
+        fields[field][4] = np.nan
+        data = PairedDataset(**fields)  # shapes only: values are checked where they are read
+        with pytest.raises(errors.NonFinite):
+            evaluation.evaluate(data)
+        with pytest.raises(errors.NonFinite):
+            evaluation.sweep_k(data, [2])
+
 
 class TestSweep:
     def make_anisotropic(self, rng, n=300, latent=2, d=6):
@@ -279,6 +296,29 @@ class TestEvaluateBlocks:
         reports = evaluation.evaluate_blocks(lefts, rights, gold, transforms)
         assert reports == [evaluation.evaluate(data, t) for t in transforms]
         assert [r.dim_used for r in reports] == [5, 1, 3, 5]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gold_checked_before_any_block(self, bad):
+        rng = np.random.default_rng(26)
+        left, right, gold = self.make(rng)
+        left[3] = 0.0  # a skipped pair still has its gold checked
+        gold[3] = bad
+
+        def unread():
+            raise AssertionError("a block was read before gold was checked")
+            yield
+
+        with pytest.raises(errors.NonFinite):
+            evaluation.evaluate_blocks([left], [right], gold, [None])
+        with pytest.raises(errors.NonFinite):
+            evaluation.evaluate_blocks(unread(), unread(), gold, [None])
+
+    @pytest.mark.parametrize("shape", [(), (50, 1)], ids=["0-D", "column"])
+    def test_gold_must_be_a_vector(self, shape):
+        rng = np.random.default_rng(27)
+        left, right, _ = self.make(rng)
+        with pytest.raises(errors.DimensionMismatch, match="gold"):
+            evaluation.evaluate_blocks([left], [right], rng.uniform(0, 5, shape), [None])
 
     @pytest.mark.parametrize("rows", [[20, 29], [20, 31], []])
     def test_pair_count_must_match_gold(self, rows):

@@ -9,7 +9,7 @@ same blocks upcast first, and every finiteness check must still fire.
 import numpy as np
 import pytest
 
-from whitevec import errors, fileio, retrieval, streaming, whitening
+from whitevec import errors, evaluation, fileio, retrieval, streaming, whitening
 from whitevec.evaluation import _pair_cosines
 
 D = 24
@@ -78,6 +78,22 @@ def test_pair_cosines(paths):
         got = _pair_cosines(left, right)
         want = _pair_cosines(left.astype(np.float64), right.astype(np.float64))
         assert same(got[0], want[0]) and same(got[1], want[1])
+
+
+def test_paired_dataset_keeps_float32_and_scores_alike(paths):
+    left, right = (fileio.read_emb1(p).astype(np.float32) for p in paths)
+    gold = np.random.default_rng(12).uniform(0, 5, N)
+    data32 = evaluation.PairedDataset(left=left, right=right, gold=gold)
+    left64, right64 = left.astype(np.float64), right.astype(np.float64)
+    data64 = evaluation.PairedDataset(left=left64, right=right64, gold=gold)
+    assert data32.left.dtype == data32.right.dtype == np.float32
+    assert np.shares_memory(data32.left, left) and np.shares_memory(data64.left, left64)
+    t = whitening.fit_from_moments(evaluation.fit_corpus(data64), k=9)
+    assert evaluation.evaluate(data32) == evaluation.evaluate(data64)
+    assert evaluation.evaluate(data32).skipped == 1  # the zero row
+    assert evaluation.evaluate(data32, t) == evaluation.evaluate(data64, t)
+    ks = [4, 16, "full"]
+    assert evaluation.sweep_k(data32, ks) == evaluation.sweep_k(data64, ks)
 
 
 @pytest.mark.parametrize("row", [0, 300])

@@ -11,7 +11,8 @@ far less than its input beyond that input. A float32 file's blocks, and
 a float32 matrix's ``row_blocks`` slices, stay float32 until each
 consumer's first ufunc, so ``fit`` and ``transform`` of such a file, and
 library ``fit`` and ``write_emb1`` of such a matrix, hold less than two
-float64 blocks.
+float64 blocks. A ``PairedDataset`` keeps float32 sides as they are, so
+library ``sweep_k`` of float32 pairs holds blocks and O(N) scores too.
 """
 
 import tracemalloc
@@ -19,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from whitevec import fileio, retrieval, whitening
+from whitevec import evaluation, fileio, retrieval, whitening
 from whitevec.cli import run
 
 N, D = 16 * whitening.BLOCK_ROWS, 64
@@ -98,6 +99,17 @@ def test_search_holds_index_and_one_score_tile(inputs):
             "--out", str(d / "hits.tsv")]
     peak = peak_bytes(cli, argv)
     assert peak < index_bytes + 1.5 * tile_bytes
+
+
+def test_library_sweep_k_of_float32_pairs_holds_blocks():
+    rng = np.random.default_rng(6)
+    x32, y32 = (rng.standard_normal((N, D), dtype=np.float32) for _ in range(2))
+    gold = rng.uniform(0, 5, N)
+
+    def sweep():
+        evaluation.sweep_k(evaluation.PairedDataset(left=x32, right=y32, gold=gold), [4, 16])
+
+    assert peak_bytes(sweep) < INPUT_BYTES / 2
 
 
 def test_library_fit_holds_blocks_not_a_centred_copy():

@@ -115,6 +115,11 @@ class TestBuildIndex:
         with pytest.raises(errors.EmptyInput):
             retrieval.build_index(np.empty((0, 4)))
 
+    def test_zero_width_rejected(self):
+        # As MomentState.update and fit refuse it; a dim-0 index would drop every row.
+        with pytest.raises(errors.DimensionMismatch):
+            retrieval.build_index(np.ones((3, 0)))
+
     @pytest.mark.parametrize("n", [1, whitening.BLOCK_ROWS + 7])
     def test_chunked_matches_whole_matrix_bit_exact(self, n):
         rng = np.random.default_rng(7)
