@@ -10,7 +10,7 @@ import numpy as np
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import row_norms
-from .streaming import MomentState, as_float, fold
+from .streaming import MomentState, as_rows, fold
 from .whitening import FULL, WhiteningTransform, checked_blocks, require_int, row_blocks
 
 
@@ -18,7 +18,7 @@ from .whitening import FULL, WhiteningTransform, checked_blocks, require_int, ro
 class PairedDataset:
     """N embedding pairs plus a gold similarity score per pair.
 
-    Sides stay as ``as_float`` gives them (float32 kept, float64 not
+    Sides stay as ``as_rows`` gives them (float32 kept, float64 not
     copied). Shapes are checked here, values where they are read.
     """
 
@@ -27,9 +27,10 @@ class PairedDataset:
     gold: np.ndarray
 
     def __post_init__(self):
-        left, right = as_float(self.left), as_float(self.right)
+        left = as_rows(self.left, None, "left")
+        right = as_rows(self.right, left.shape[1], "right")
         gold = np.asarray(self.gold, dtype=np.float64)
-        if left.ndim != 2 or left.shape != right.shape or gold.shape != left.shape[:1]:
+        if left.shape != right.shape or gold.shape != left.shape[:1]:
             raise DimensionMismatch(f"unpaired shapes {left.shape}, {right.shape}, {gold.shape}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)

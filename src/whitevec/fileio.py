@@ -144,11 +144,13 @@ def iter_emb1(path) -> Iterator[np.ndarray]:
 def write_atomic(path, chunks: Iterable) -> None:
     """Write the bytes-like ``chunks`` to ``path`` whole or not at all.
 
-    They go to a temporary file beside ``path``, which ``os.replace`` then
-    renames over it; on any error the temporary file is removed and an
-    existing ``path`` keeps its old bytes. The file is not fsynced. A path
-    that exists but is not a regular file (a pipe, a terminal, /dev/stdout)
-    cannot be replaced, so it is written in place.
+    They go to a temporary file beside the file ``path`` names (a symlink
+    is followed, so the link stays a link and its target gets the bytes),
+    which ``os.replace`` then renames over it; an existing target's
+    permission bits are copied onto it first. On any error the temporary
+    file is removed and an existing ``path`` keeps its old bytes. The file
+    is not fsynced. A path that exists but is not a regular file (a pipe,
+    a terminal, /dev/stdout) cannot be replaced, so it is written in place.
     """
     path = os.fspath(path)
     if os.path.exists(path) and not os.path.isfile(path):
@@ -156,6 +158,7 @@ def write_atomic(path, chunks: Iterable) -> None:
             for chunk in chunks:
                 f.write(chunk)
         return
+    path = os.path.realpath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     f = open(tmp, "xb")
@@ -163,6 +166,8 @@ def write_atomic(path, chunks: Iterable) -> None:
         with f:
             for chunk in chunks:
                 f.write(chunk)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -281,22 +286,13 @@ def load_transform(path) -> WhiteningTransform:
         raise SchemaMismatch(
             f"mean has shape {mean.shape}, expected ({input_dim},)"
         )
-    if matrix.ndim != 2 or matrix.shape != (input_dim, output_dim):
+    if matrix.shape != (input_dim, output_dim):
         raise SchemaMismatch(
             f"matrix has shape {matrix.shape}, expected ({input_dim}, {output_dim})"
         )
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(matrix))):
-        raise NonFinite("transform contains NaN or Inf")
     if not valid_eps(eps):
         raise SchemaMismatch("eps must be a finite number >= 0")
-    mean.setflags(write=False)
-    matrix.setflags(write=False)
-    return WhiteningTransform(
-        mean=mean,
-        matrix=matrix,
-        fit_count=fit_count,
-        eps=float(eps),
-    )
+    return WhiteningTransform(mean=mean, matrix=matrix, fit_count=fit_count, eps=eps)
 
 
 def read_gold(path) -> np.ndarray:

@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFinite, ZeroVector
+from .streaming import as_rows
 from .whitening import checked_blocks, require_int, row_blocks
 
 ZERO_NORM = 1e-30
@@ -143,11 +144,7 @@ def top_k_batch(
     query and InvalidParameter for a ``k_results`` that is not an
     integer, before any scoring.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != index.dim:
-        raise DimensionMismatch(
-            f"queries have shape {queries.shape}, index dim is {index.dim}"
-        )
+    queries = as_rows(queries, index.dim, "queries")
     qnorms, nonzero = row_norms(queries)
     zero = np.flatnonzero(~nonzero)
     if zero.size:
@@ -231,9 +228,7 @@ def benchmark(
     does not move it. ``repetitions`` is an integer of at least
     MIN_REPETITIONS.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix of queries, got shape {queries.shape}")
+    queries = as_rows(queries, None, "queries")
     if queries.shape[0] == 0:
         raise EmptyInput("benchmark needs at least one query")
     repetitions = require_int(repetitions, "repetitions")

@@ -25,15 +25,20 @@ from .errors import DimensionMismatch, EmptyInput, NonFinite
 OVERFLOW = "mean or covariance overflows float64"
 
 
-def as_float(x) -> np.ndarray:
-    """``x`` as a float32 or float64 array, copied only to convert it.
+def as_rows(x, dim: int | None, name: str) -> np.ndarray:
+    """``x`` as a 2-D float32 or float64 matrix of width ``dim``, copied only to convert it.
 
+    The one check of row input: DimensionMismatch, naming ``name``, for
+    anything that is not 2-D or, unless ``dim`` is None, not ``dim`` wide.
     float32, the narrow EMB1 dtype, is kept as it is: every consumer of
     row blocks upcasts it to float64 in its first ufunc, which is exact,
     so no float64 copy of a block is made ahead of use. Anything else
     becomes float64.
     """
     x = np.asarray(x)
+    if x.ndim != 2 or dim not in (None, x.shape[1]):
+        width = "rows" if dim is None else f"{dim} columns"
+        raise DimensionMismatch(f"{name} has shape {x.shape}, expects {width} in a 2-D matrix")
     return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
 
 
@@ -56,16 +61,8 @@ class MomentState:
         upcast as they are centred, into the one float64 buffer the
         scatter GEMM reads.
         """
-        x = as_float(x)
-        block = x[np.newaxis, :] if x.ndim == 1 else x
-        if block.ndim != 2:
-            raise DimensionMismatch(
-                f"expected a vector or a row block, got shape {x.shape}"
-            )
-        if self.mean is not None and block.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"rows have dim {block.shape[1]}, state has dim {self.dim}"
-            )
+        x = np.asarray(x)
+        block = as_rows(x[np.newaxis] if x.ndim == 1 else x, self.dim, "rows")
         if not np.all(np.isfinite(block)):
             raise NonFinite("input rows contain NaN or Inf")
         m = block.shape[0]

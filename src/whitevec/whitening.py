@@ -20,7 +20,7 @@ from .errors import (
     NonFinite,
     RankDeficient,
 )
-from .streaming import MomentState, as_float, finalize, fold
+from .streaming import MomentState, as_rows, finalize, fold
 
 # Default rank tolerance is EPS_SCALE * trace(cov) / d, so it is unit-free.
 EPS_SCALE = 1e-12
@@ -39,9 +39,14 @@ BLOCK_ROWS = 16 * TILE_ROWS
 class WhiteningTransform:
     """Fitted transform: mean (length d), matrix (d x k), fit metadata.
 
-    The dims are read off the matrix, so they cannot disagree with it;
-    a matrix that is not 2-D, or a mean that is not one value per matrix
-    row, raises DimensionMismatch at construction.
+    The one owner of what a transform is. Construction stores read-only,
+    C-contiguous float64 copies of ``mean`` and ``matrix``, so a caller's
+    later write cannot reach them, and the dims are read off the matrix,
+    so they cannot disagree with it. A matrix that is not d x k with
+    d, k >= 1, or a mean that is not one value per matrix row, raises
+    DimensionMismatch; a NaN or Inf value, NonFinite. ``fit_count`` must
+    be an integer >= 1 and ``eps`` pass ``valid_eps`` (InvalidParameter);
+    they are stored as ``int`` and ``float``.
     """
 
     mean: np.ndarray
@@ -50,11 +55,25 @@ class WhiteningTransform:
     eps: float
 
     def __post_init__(self):
-        if np.ndim(self.matrix) != 2:
-            raise DimensionMismatch(f"matrix has shape {np.shape(self.matrix)}, expected d x k")
-        rows = np.shape(self.matrix)[0]
-        if np.shape(self.mean) != (rows,):
-            raise DimensionMismatch(f"mean has shape {np.shape(self.mean)}, expected ({rows},)")
+        mean = np.array(self.mean, dtype=np.float64)
+        matrix = np.array(self.matrix, dtype=np.float64, order="C")
+        if matrix.ndim != 2 or 0 in matrix.shape:
+            raise DimensionMismatch(f"matrix has shape {matrix.shape}, expected d x k, d, k >= 1")
+        if mean.shape != matrix.shape[:1]:
+            raise DimensionMismatch(f"mean has shape {mean.shape}, expected ({matrix.shape[0]},)")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(matrix))):
+            raise NonFinite("transform contains NaN or Inf")
+        fit_count = require_int(self.fit_count, "fit_count")
+        if fit_count < 1:
+            raise InvalidParameter(f"fit_count must be >= 1, got {fit_count}")
+        if not valid_eps(self.eps):
+            raise InvalidParameter(f"eps must be a finite number >= 0, got {self.eps!r}")
+        mean.setflags(write=False)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "fit_count", fit_count)
+        object.__setattr__(self, "eps", float(self.eps))
 
     @property
     def input_dim(self) -> int:
@@ -66,7 +85,7 @@ class WhiteningTransform:
 
 
 def row_blocks(data: np.ndarray):
-    """The rows of an N x d matrix as BLOCK_ROWS-row slices, each ``as_float`` on its own.
+    """The rows of an N x d matrix as BLOCK_ROWS-row slices, each ``as_rows`` on its own.
 
     A float32 matrix gives float32 views, as ``iter_emb1`` gives a float32
     file's blocks; any other dtype gives float64 copies, one slice at a
@@ -77,11 +96,11 @@ def row_blocks(data: np.ndarray):
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
     starts = range(0, max(data.shape[0], 1), BLOCK_ROWS)
-    return (as_float(data[i : i + BLOCK_ROWS]) for i in starts)
+    return (as_rows(data[i : i + BLOCK_ROWS], None, "data") for i in starts)
 
 
 def checked_blocks(blocks, count: int, dim: int | None):
-    """Yield ``blocks`` as float (m, dim) matrices (``as_float``) that hold exactly ``count`` rows.
+    """Yield ``blocks`` as float (m, dim) matrices (``as_rows``) that hold exactly ``count`` rows.
 
     ``dim=None`` takes the width of the first block. DimensionMismatch
     for another shape, for a row past ``count`` as soon as it arrives,
@@ -89,9 +108,7 @@ def checked_blocks(blocks, count: int, dim: int | None):
     """
     seen = 0
     for block in blocks:
-        block = as_float(block)
-        if block.ndim != 2 or dim not in (None, block.shape[1]):
-            raise DimensionMismatch(f"block has shape {block.shape}, expected rows of dim {dim}")
+        block = as_rows(block, dim, "block")
         dim = block.shape[1]
         seen += block.shape[0]
         if seen > count:
@@ -186,17 +203,8 @@ def fit_from_moments(
     elif k > rank:
         raise RankDeficient(k, rank)
 
-    matrix = eig.eigenvectors[:, :k] * scales[:k]
-    matrix = np.ascontiguousarray(matrix)
-    if not np.all(np.isfinite(matrix)):
-        raise NonFinite("fitted whitening matrix contains NaN or Inf")
-    matrix.setflags(write=False)
-    mean.setflags(write=False)
     return WhiteningTransform(
-        mean=mean,
-        matrix=matrix,
-        fit_count=n,
-        eps=float(eps),
+        mean=mean, matrix=eig.eigenvectors[:, :k] * scales[:k], fit_count=n, eps=eps
     )
 
 
@@ -211,13 +219,8 @@ def truncate(t: WhiteningTransform, k: int) -> WhiteningTransform:
         raise RankDeficient(k, t.output_dim)
     if k == t.output_dim:
         return t
-    matrix = np.ascontiguousarray(t.matrix[:, :k])
-    matrix.setflags(write=False)
     return WhiteningTransform(
-        mean=t.mean,
-        matrix=matrix,
-        fit_count=t.fit_count,
-        eps=t.eps,
+        mean=t.mean, matrix=t.matrix[:, :k], fit_count=t.fit_count, eps=t.eps
     )
 
 
@@ -232,13 +235,7 @@ def apply_batch(t: WhiteningTransform, data: np.ndarray) -> np.ndarray:
     itself. NonFinite for NaN or Inf in ``data`` and for a finite row
     whose centring or product overflows float64.
     """
-    data = as_float(data)
-    if data.ndim != 2:
-        raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    if data.shape[1] != t.input_dim:
-        raise DimensionMismatch(
-            f"rows have dim {data.shape[1]}, transform expects {t.input_dim}"
-        )
+    data = as_rows(data, t.input_dim, "data")
     out = np.empty((data.shape[0], t.output_dim))
     tile = np.zeros((TILE_ROWS, t.input_dim))
     for start in range(0, data.shape[0], TILE_ROWS):

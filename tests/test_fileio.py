@@ -2,6 +2,7 @@ import builtins
 import errno
 import json
 import os
+import stat
 import struct
 import tracemalloc
 
@@ -169,6 +170,70 @@ class TestTransformFile:
             fileio.load_transform(path)
 
 
+# Finite doubles with the extremes spelled out: the float64 range ends and subnormals.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0]
+)
+# (type, float width) of an eps: Python and numpy floats, each drawn within its own range.
+EPS_TYPES = [(float, 64), (np.float64, 64), (np.float32, 32), (np.float16, 16)]
+
+
+@st.composite
+def constructible_transforms(draw) -> whitening.WhiteningTransform:
+    d = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=8))
+    mean = draw(st.lists(FINITE, min_size=d, max_size=d))
+    matrix = draw(st.lists(st.lists(FINITE, min_size=k, max_size=k), min_size=d, max_size=d))
+    count_type = draw(st.sampled_from([int, np.int32, np.int64, np.uint64]))
+    fit_count = count_type(draw(st.integers(min_value=1, max_value=2**31 - 1)))
+    eps_type, width = draw(st.sampled_from(EPS_TYPES))
+    eps = eps_type(draw(st.floats(min_value=0, allow_infinity=False, width=width)))
+    t = whitening.WhiteningTransform(
+        mean=np.array(mean), matrix=draw(st.sampled_from([matrix, np.array(matrix)])),
+        fit_count=fit_count, eps=eps,
+    )
+    assert np.array(mean).tobytes() == t.mean.tobytes()
+    assert np.array(matrix).tobytes() == t.matrix.tobytes()
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=constructible_transforms())
+def test_every_constructible_transform_round_trips(tmp_path_factory, t):
+    path = tmp_path_factory.mktemp("rt") / "w.json"
+    fileio.save_transform(path, t)
+    back = fileio.load_transform(path)
+    assert back.mean.tobytes() == t.mean.tobytes()
+    assert back.matrix.tobytes() == t.matrix.tobytes()
+    assert (type(back.fit_count), back.fit_count) == (int, t.fit_count)
+    assert (type(back.eps), struct.pack("<d", back.eps)) == (float, struct.pack("<d", t.eps))
+
+
+arrays = st.one_of(
+    st.lists(st.floats(), max_size=3),
+    st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)).map(np.ones),
+)
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+           | st.integers(-5, 5).map(np.int64) | st.floats(width=32).map(np.float32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mean=arrays, matrix=arrays, fit_count=scalars, eps=scalars)
+def test_transform_constructor_refuses_only_with_typed_errors(
+    tmp_path_factory, mean, matrix, fit_count, eps
+):
+    """Anything the constructor takes round-trips; anything else is a WhitevecError."""
+    try:
+        t = whitening.WhiteningTransform(mean=mean, matrix=matrix, fit_count=fit_count, eps=eps)
+    except errors.WhitevecError:
+        return
+    path = tmp_path_factory.mktemp("rt") / "w.json"
+    fileio.save_transform(path, t)
+    back = fileio.load_transform(path)
+    assert back.matrix.tobytes() == t.matrix.tobytes() and back.eps == t.eps
+
+
 class TestReadGold:
     def test_basic(self, tmp_path):
         path = tmp_path / "gold.txt"
@@ -331,6 +396,21 @@ class TestAtomicWrite:
         fileio.write_emb1(target, np.eye(3) * 7.0)
         assert np.array_equal(fileio.read_emb1(target), np.eye(3) * 7.0)
         assert sorted(os.listdir(target.parent)) == ["in.emb1", "out"]
+
+    def test_symlinked_target_stays_a_link(self, target):
+        link = target.with_name("link")
+        link.symlink_to(target.name)
+        fileio.write_atomic(link, [b"new contents\n"])
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == b"new contents\n"
+        assert sorted(os.listdir(target.parent)) == ["in.emb1", "link", "out"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
+    def test_permission_bits_kept(self, target, mode):
+        target.chmod(mode)
+        fileio.write_emb1(target, np.eye(3))
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert np.array_equal(fileio.read_emb1(target), np.eye(3))
 
     def test_non_regular_target_written_in_place(self):
         fileio.write_atomic(os.devnull, [b"discarded"])

@@ -323,12 +323,63 @@ class TestApply:
 
     @pytest.mark.parametrize(
         "mean, matrix",
-        [(np.zeros(3), np.eye(2)), (np.zeros((2, 1)), np.eye(2)), (np.zeros(2), np.ones(2))],
-        ids=["mean-length", "mean-2d", "matrix-1d"],
+        [(np.zeros(3), np.eye(2)), (np.zeros((2, 1)), np.eye(2)), (np.zeros(2), np.ones(2)),
+         (np.zeros(2), np.zeros((2, 0))), (np.zeros(0), np.zeros((0, 2)))],
+        ids=["mean-length", "mean-2d", "matrix-1d", "matrix-no-columns", "matrix-no-rows"],
     )
     def test_mean_and_matrix_shapes_checked_at_construction(self, mean, matrix):
         with pytest.raises(errors.DimensionMismatch):
             whitening.WhiteningTransform(mean=mean, matrix=matrix, fit_count=2, eps=0.0)
+
+
+class TestConstruction:
+    """WhiteningTransform owns the transform invariants: every constructed one is valid."""
+
+    def test_lists_become_read_only_float64_arrays(self):
+        t = whitening.WhiteningTransform(
+            mean=[0.0, 0.0], matrix=[[1.0, 0.0], [0.0, 1.0]], fit_count=2, eps=0.0
+        )
+        assert (t.input_dim, t.output_dim) == (2, 2)
+        assert np.array_equal(whitening.apply_batch(t, [[3.0, 4.0]]), [[3.0, 4.0]])
+        for a in (t.mean, t.matrix):
+            assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+
+    def test_caller_writes_do_not_reach_the_transform(self):
+        mean, matrix = np.zeros(2), np.eye(2)
+        t = whitening.WhiteningTransform(mean=mean, matrix=matrix, fit_count=2, eps=0.0)
+        mean[0] = matrix[0, 0] = 5.0
+        assert np.array_equal(t.mean, np.zeros(2)) and np.array_equal(t.matrix, np.eye(2))
+
+    def test_fortran_order_matrix_stored_c_contiguous(self):
+        matrix = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        t = whitening.WhiteningTransform(mean=np.zeros(3), matrix=matrix, fit_count=2, eps=0.0)
+        assert t.matrix.flags.c_contiguous and np.array_equal(t.matrix, matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mean", "matrix"])
+    def test_non_finite_values_refused_at_construction(self, field, bad):
+        values = {"mean": np.zeros(2), "matrix": np.eye(2)}
+        values[field].flat[1] = bad
+        with pytest.raises(errors.NonFinite):
+            whitening.WhiteningTransform(**values, fit_count=2, eps=0.0)
+
+    @pytest.mark.parametrize(
+        "fit_count, eps",
+        [(0, 0.0), (-3, 0.0), (2.0, 0.0), (True, 0.0), (2, np.nan), (2, -1.0), (2, np.inf),
+         (2, False), (2, None)],
+    )
+    def test_metadata_checked_at_construction(self, fit_count, eps):
+        with pytest.raises(errors.InvalidParameter):
+            whitening.WhiteningTransform(
+                mean=np.zeros(2), matrix=np.eye(2), fit_count=fit_count, eps=eps
+            )
+
+    def test_numpy_scalar_metadata_stored_as_python_numbers(self):
+        t = whitening.WhiteningTransform(
+            mean=np.zeros(2), matrix=np.eye(2), fit_count=np.int64(5), eps=np.float32(0.5)
+        )
+        assert (type(t.fit_count), type(t.eps)) == (int, float)
+        assert (t.fit_count, t.eps) == (5, 0.5)
 
 
 def test_whiteness_property():
