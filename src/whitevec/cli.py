@@ -61,25 +61,21 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _header_of_width(path, dim: int) -> fileio.Emb1Header:
-    """The EMB1 header of ``path``; DimensionMismatch unless its rows have width ``dim``."""
-    header = fileio.read_emb1_header(path)
-    if header.dim != dim:
-        raise DimensionMismatch(f"{path} has dim {header.dim}, expected {dim}")
-    return header
+def _emb1_blocks(path, t: whitening.WhiteningTransform | None, dim: int | None):
+    """(blocks, count, width) of an EMB1 file, its blocks whitened by ``t`` if given.
 
-
-def _emb1_blocks(path, t: whitening.WhiteningTransform | None):
-    """(blocks, count, dim) of an EMB1 file, its blocks whitened by ``t`` if given.
-
-    The header is checked against ``t`` before any block is read, so a
-    file of the wrong width fails even when it has no rows.
+    The header's width is checked against ``t.input_dim``, or else against
+    ``dim`` unless it is None, before any block is read, so a file of the
+    wrong width fails even when it has no rows.
     """
+    header = fileio.read_emb1_header(path)
+    expected = dim if t is None else t.input_dim
+    if expected not in (None, header.dim):
+        raise DimensionMismatch(f"{path} has dim {header.dim}, expected {expected}")
+    blocks = fileio.iter_emb1(path)
     if t is None:
-        header = fileio.read_emb1_header(path)
-        return fileio.iter_emb1(path), header.count, header.dim
-    count = _header_of_width(path, t.input_dim).count
-    return (whitening.apply_batch(t, b) for b in fileio.iter_emb1(path)), count, t.output_dim
+        return blocks, header.count, header.dim
+    return (whitening.apply_batch(t, b) for b in blocks), header.count, t.output_dim
 
 
 def cmd_fit(args) -> int:
@@ -95,7 +91,7 @@ def cmd_fit(args) -> int:
 
 def cmd_transform(args) -> int:
     t = fileio.load_transform(args.transform)
-    fileio.write_emb1_blocks(args.out, *_emb1_blocks(args.input, t), dtype=args.dtype)
+    fileio.write_emb1_blocks(args.out, *_emb1_blocks(args.input, t, None), dtype=args.dtype)
     return 0
 
 
@@ -120,8 +116,8 @@ def _fit_moments(args, dim: int) -> streaming.MomentState:
     """--fit target (default) folds left then right; --fit FILE streams that file."""
     if args.fit == "target":
         return streaming.fold(chain(fileio.iter_emb1(args.left), fileio.iter_emb1(args.right)))
-    _header_of_width(args.fit, dim)
-    return streaming.fold(fileio.iter_emb1(args.fit))
+    blocks, _, _ = _emb1_blocks(args.fit, None, dim)
+    return streaming.fold(blocks)
 
 
 def cmd_eval(args) -> int:
@@ -191,13 +187,10 @@ def _load_index_and_queries(args):
     Both headers are checked before the index is built.
     """
     t = fileio.load_transform(args.transform) if args.transform else None
-    blocks, count, dim = _emb1_blocks(args.index, t)
-    _header_of_width(args.query, dim if t is None else t.input_dim)
+    blocks, count, dim = _emb1_blocks(args.index, t, None)
+    queries, _, _ = _emb1_blocks(args.query, t, dim)
     index = retrieval.build_index_blocks(blocks, count, dim)
-    queries = fileio.read_emb1(args.query)
-    if t is not None:
-        queries = whitening.apply_batch(t, queries)
-    return index, queries
+    return index, np.concatenate([np.empty((0, dim)), *queries])
 
 
 def cmd_search(args) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import row_norms
-from .streaming import MomentState, as_rows, fold
+from .streaming import MomentState, as_real, as_rows, fold
 from .whitening import FULL, WhiteningTransform, checked_blocks, require_int, row_blocks
 
 
@@ -29,7 +29,7 @@ class PairedDataset:
     def __post_init__(self):
         left = as_rows(self.left, None, "left")
         right = as_rows(self.right, left.shape[1], "right")
-        gold = np.asarray(self.gold, dtype=np.float64)
+        gold = np.asarray(as_real(self.gold, "gold"), dtype=np.float64)
         if left.shape != right.shape or gold.shape != left.shape[:1]:
             raise DimensionMismatch(f"unpaired shapes {left.shape}, {right.shape}, {gold.shape}")
         object.__setattr__(self, "left", left)
@@ -58,8 +58,8 @@ class EvalReport:
 
 
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = as_real(x, "x")
+    y = as_real(y, "y")
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"shapes {x.shape} and {y.shape} do not match")
     cosines, valid = _pair_cosines(x[np.newaxis], y[np.newaxis])
@@ -87,8 +87,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(pred: np.ndarray, gold: np.ndarray) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gold = np.asarray(gold, dtype=np.float64)
+    pred = np.asarray(as_real(pred, "pred"), dtype=np.float64)
+    gold = np.asarray(as_real(gold, "gold"), dtype=np.float64)
     if pred.shape != gold.shape or pred.ndim != 1:
         raise DimensionMismatch(f"shapes {pred.shape} and {gold.shape} do not match")
     if pred.shape[0] < 2:
@@ -164,8 +164,9 @@ def evaluate_blocks(lefts, rights, gold: np.ndarray, transforms) -> list[EvalRep
 
 
 def _checked_gold(gold) -> np.ndarray:
-    """``gold`` as a float64 vector: DimensionMismatch unless 1-D, NonFinite unless finite."""
-    gold = np.asarray(gold, dtype=np.float64)
+    """``gold`` as a float64 vector: ``as_real``'s InvalidParameter for values that are not
+    real numbers, DimensionMismatch unless 1-D, NonFinite unless finite."""
+    gold = np.asarray(as_real(gold, "gold"), dtype=np.float64)
     if gold.ndim != 1:
         raise DimensionMismatch(f"gold has shape {gold.shape}, expected a vector")
     if not np.all(np.isfinite(gold)):

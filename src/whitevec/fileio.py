@@ -31,14 +31,15 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    DimensionMismatch,
+    InvalidParameter,
     NonFinite,
     ParseError,
     SchemaMismatch,
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .whitening import BLOCK_ROWS, WhiteningTransform, checked_blocks, require_int
-from .whitening import row_blocks, valid_eps
+from .whitening import BLOCK_ROWS, WhiteningTransform, checked_blocks, require_int, row_blocks
 
 MAGIC = b"EMB1"
 VERSION = 1
@@ -254,6 +255,9 @@ def save_transform(path, t: WhiteningTransform) -> None:
 
 
 def load_transform(path) -> WhiteningTransform:
+    """Read a whitening-v1 file: its layout is checked here, its values by
+    ``WhiteningTransform``, whose refusals become SchemaMismatch (NonFinite
+    passes through)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as e:
@@ -266,33 +270,25 @@ def load_transform(path) -> WhiteningTransform:
         raise SchemaMismatch(
             f"format is {doc['format']!r}, expected {TRANSFORM_FORMAT!r}"
         )
-    input_dim = _positive_int(doc, "input_dim")
-    output_dim = _positive_int(doc, "output_dim")
+    dims = _positive_int(doc, "input_dim"), _positive_int(doc, "output_dim")
     mean = _require(doc, "mean")
     matrix = _require(doc, "matrix")
-    fit_count = _positive_int(doc, "fit_count")
+    fit_count = _require(doc, "fit_count")
     eps = _require(doc, "eps")
-    # np.array would parse "1" and true as numbers, so check the JSON types.
+    # numpy would read true as 1 and null as NaN, so check the JSON types.
     if not _numbers(mean):
         raise SchemaMismatch("mean must be a list of numbers")
     if not (isinstance(matrix, list) and all(_numbers(row) for row in matrix)):
         raise SchemaMismatch("matrix must be a list of rows of numbers")
     try:
-        mean = np.array(mean, dtype=np.float64)
-        matrix = np.array(matrix, dtype=np.float64)
-    except (ValueError, OverflowError) as e:
-        raise SchemaMismatch(f"mean/matrix are not numeric arrays: {e}") from e
-    if mean.shape != (input_dim,):
+        t = WhiteningTransform(mean=mean, matrix=matrix, fit_count=fit_count, eps=eps)
+    except (DimensionMismatch, InvalidParameter) as e:
+        raise SchemaMismatch(str(e)) from e
+    if (t.input_dim, t.output_dim) != dims:
         raise SchemaMismatch(
-            f"mean has shape {mean.shape}, expected ({input_dim},)"
+            f"matrix is {t.input_dim} x {t.output_dim}, the file declares {dims[0]} x {dims[1]}"
         )
-    if matrix.shape != (input_dim, output_dim):
-        raise SchemaMismatch(
-            f"matrix has shape {matrix.shape}, expected ({input_dim}, {output_dim})"
-        )
-    if not valid_eps(eps):
-        raise SchemaMismatch("eps must be a finite number >= 0")
-    return WhiteningTransform(mean=mean, matrix=matrix, fit_count=fit_count, eps=eps)
+    return t
 
 
 def read_gold(path) -> np.ndarray:

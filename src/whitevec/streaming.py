@@ -20,22 +20,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, NonFinite
+from .errors import DimensionMismatch, EmptyInput, InvalidParameter, NonFinite
 
 OVERFLOW = "mean or covariance overflows float64"
+
+
+def as_real(x, name: str) -> np.ndarray:
+    """``x`` as an array of real numbers: bool, integer or float, in its own dtype.
+
+    The one rule for numeric input, of rows and transforms alike. An
+    object array (Python integers beyond int64, say) is converted to
+    float64 here. Complex, string and bytes values, and anything numpy
+    cannot convert (a ragged list, an integer beyond float64), raise
+    InvalidParameter naming ``name``.
+    """
+    try:
+        x = np.asarray(x)
+        if x.dtype == object:
+            x = x.astype(np.float64)
+    except (ValueError, TypeError, OverflowError) as e:
+        raise InvalidParameter(f"{name} is not an array of real numbers: {e}") from None
+    if x.dtype.kind not in "biuf":
+        raise InvalidParameter(f"{name} holds {x.dtype} values, not real numbers")
+    return x
 
 
 def as_rows(x, dim: int | None, name: str) -> np.ndarray:
     """``x`` as a 2-D float32 or float64 matrix of width ``dim``, copied only to convert it.
 
-    The one check of row input: DimensionMismatch, naming ``name``, for
+    The one check of row input: ``as_real``'s InvalidParameter for values
+    that are not real numbers, then DimensionMismatch, naming ``name``, for
     anything that is not 2-D or, unless ``dim`` is None, not ``dim`` wide.
     float32, the narrow EMB1 dtype, is kept as it is: every consumer of
     row blocks upcasts it to float64 in its first ufunc, which is exact,
     so no float64 copy of a block is made ahead of use. Anything else
     becomes float64.
     """
-    x = np.asarray(x)
+    x = as_real(x, name)
     if x.ndim != 2 or dim not in (None, x.shape[1]):
         width = "rows" if dim is None else f"{dim} columns"
         raise DimensionMismatch(f"{name} has shape {x.shape}, expects {width} in a 2-D matrix")
@@ -61,7 +82,7 @@ class MomentState:
         upcast as they are centred, into the one float64 buffer the
         scatter GEMM reads.
         """
-        x = np.asarray(x)
+        x = as_real(x, "rows")
         block = as_rows(x[np.newaxis] if x.ndim == 1 else x, self.dim, "rows")
         if not np.all(np.isfinite(block)):
             raise NonFinite("input rows contain NaN or Inf")

@@ -20,7 +20,7 @@ from .errors import (
     NonFinite,
     RankDeficient,
 )
-from .streaming import MomentState, as_rows, finalize, fold
+from .streaming import MomentState, as_real, as_rows, finalize, fold
 
 # Default rank tolerance is EPS_SCALE * trace(cov) / d, so it is unit-free.
 EPS_SCALE = 1e-12
@@ -42,8 +42,9 @@ class WhiteningTransform:
     The one owner of what a transform is. Construction stores read-only,
     C-contiguous float64 copies of ``mean`` and ``matrix``, so a caller's
     later write cannot reach them, and the dims are read off the matrix,
-    so they cannot disagree with it. A matrix that is not d x k with
-    d, k >= 1, or a mean that is not one value per matrix row, raises
+    so they cannot disagree with it. Values that are not real numbers
+    (``as_real``) raise InvalidParameter; a matrix that is not d x k with
+    d, k >= 1, or a mean that is not one value per matrix row,
     DimensionMismatch; a NaN or Inf value, NonFinite. ``fit_count`` must
     be an integer >= 1 and ``eps`` pass ``valid_eps`` (InvalidParameter);
     they are stored as ``int`` and ``float``.
@@ -55,8 +56,8 @@ class WhiteningTransform:
     eps: float
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=np.float64)
-        matrix = np.array(self.matrix, dtype=np.float64, order="C")
+        mean = np.array(as_real(self.mean, "mean"), dtype=np.float64)
+        matrix = np.array(as_real(self.matrix, "matrix"), dtype=np.float64, order="C")
         if matrix.ndim != 2 or 0 in matrix.shape:
             raise DimensionMismatch(f"matrix has shape {matrix.shape}, expected d x k, d, k >= 1")
         if mean.shape != matrix.shape[:1]:
@@ -89,10 +90,11 @@ def row_blocks(data: np.ndarray):
 
     A float32 matrix gives float32 views, as ``iter_emb1`` gives a float32
     file's blocks; any other dtype gives float64 copies, one slice at a
-    time. The shape is checked at the call (DimensionMismatch). An empty
-    matrix gives one empty slice, so a consumer's width check still runs.
+    time. The values (``as_real``) and the shape (DimensionMismatch) are
+    checked at the call. An empty matrix gives one empty slice, so a
+    consumer's width check still runs.
     """
-    data = np.asarray(data)
+    data = as_real(data, "data")
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
     starts = range(0, max(data.shape[0], 1), BLOCK_ROWS)

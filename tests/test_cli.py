@@ -588,6 +588,29 @@ def test_search_streams_index(workdir, fitted, monkeypatch, capsys, with_transfo
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_search_queries_span_blocks(workdir, fitted, monkeypatch, capsys, with_transform):
+    """float32 queries over more than one block are streamed, whitened like `transform` input."""
+    rng = np.random.default_rng(9)
+    queries = rng.standard_normal((whitening.BLOCK_ROWS + 37, 4)) + 3.0
+    fileio.write_emb1(workdir / "q.emb1", queries, dtype="float32")
+    argv = ["search", "--index", str(workdir / "data.emb1"),
+            "--query", str(workdir / "q.emb1"), "--top", "3"]
+    base, queries = fileio.read_emb1(workdir / "data.emb1"), fileio.read_emb1(workdir / "q.emb1")
+    if with_transform:
+        t = fileio.load_transform(fitted)
+        argv += ["--transform", str(fitted)]
+        base, queries = whitening.apply_batch(t, base), whitening.apply_batch(t, queries)
+    expected = "".join(
+        f"{row}\t{rank}\t{i}\t{s:.6f}\n"
+        for row, hits in enumerate(retrieval.top_k_batch(retrieval.build_index(base), queries, 3))
+        for rank, (i, s) in enumerate(hits, start=1)
+    )
+    refuse_bulk_read(monkeypatch, workdir / "q.emb1")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_search_index_of_wrong_dim_for_transform(workdir, fitted, capsys):
     fileio.write_emb1(workdir / "base.emb1", np.empty((0, 3)))
     fileio.write_emb1(workdir / "q.emb1", np.ones((1, 4)))

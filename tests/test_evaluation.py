@@ -120,6 +120,24 @@ class TestSpearman:
         assert np.array_equal(evaluation._average_ranks(values), loop_ranks(values))
 
 
+PAIRS = np.eye(3), np.ones((3, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: spearman([1, 2, "a"], [1.0, 2.0, 3.0]),
+     lambda: spearman([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0j])),
+     lambda: cosine_similarity(np.array([1.0, 1.0j]), np.array([1.0, 0.0])),
+     lambda: evaluation.evaluate_blocks([PAIRS[0]], [PAIRS[1]], ["1", "2", "3"], [None]),
+     lambda: PairedDataset(*PAIRS, gold=np.array([b"1", b"2", b"3"]))],
+    ids=["spearman-string", "spearman-complex", "cosine-complex", "evaluate_blocks-gold",
+         "PairedDataset-gold"],
+)
+def test_vectors_that_are_not_real_refused(call):
+    with pytest.raises(errors.InvalidParameter, match="real numbers"):
+        call()
+
+
 class TestEvaluate:
     def make_dataset(self, rng, n=60, d=8):
         left = rng.standard_normal((n, d))

@@ -152,7 +152,10 @@ class TestTransformFile:
     @pytest.mark.parametrize(
         "key, value",
         [("fit_count", "abc"), ("fit_count", 0), ("input_dim", True),
-         ("output_dim", True), ("eps", -1e-9)],
+         ("output_dim", True), ("eps", -1e-9),
+         ("matrix", [[0.0] * 4] * 5 + [[0.0] * 3]), ("matrix", []), ("matrix", [[]]),
+         ("matrix", [[10**400] + [0.0] * 3] + [[0.0] * 4] * 5), ("mean", [0.0] * 5),
+         ("input_dim", 5), ("output_dim", 3), ("fit_count", 1.5), ("eps", "0")],
     )
     def test_bad_field_is_schema_mismatch(self, tmp_path, transform, key, value):
         path = tmp_path / "w.json"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitevec import errors, streaming
+from whitevec import errors, retrieval, streaming, whitening
 
 FOUR_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
 
@@ -231,3 +231,37 @@ class TestOverflow:
     def test_large_but_representable_values_pass(self):
         mean, cov = streaming.finalize(feed(HUGE * 1e-150))
         assert np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))
+
+
+NOT_REAL = {
+    "complex": np.ones((3, 2), dtype=complex),
+    "string": [["1", "2"], ["3", "5"], ["4", "9"]],
+    "bytes": np.array([[b"1", b"2"], [b"3", b"5"], [b"4", b"9"]]),
+    "ragged": [[1.0], [1.0, 2.0], [3.0, 4.0]],
+    "beyond-float64": [[1.0, 10**400], [3.0, 5.0], [4.0, 9.0]],
+}
+ROW_READERS = {
+    "as_rows": lambda x: streaming.as_rows(x, None, "rows"),
+    "update": lambda x: streaming.MomentState().update(x),
+    "fit": whitening.fit,
+    "build_index": retrieval.build_index,
+}
+
+
+@pytest.mark.parametrize("values", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("reader", ROW_READERS.values(), ids=ROW_READERS.keys())
+def test_rows_that_are_not_real_refused(reader, values):
+    with pytest.raises(errors.InvalidParameter, match="real numbers"):
+        reader(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([[True, False]]), np.array([[1, 2]], dtype=np.uint8), [[1, 2**70]],
+     np.array([[0.5, 2.0]], dtype=np.float16)],
+    ids=["bool", "uint8", "int-beyond-int64", "float16"],
+)
+def test_real_rows_become_float64(values):
+    rows = streaming.as_rows(values, 2, "rows")
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows, np.array(values, dtype=np.float64))

@@ -374,6 +374,19 @@ class TestConstruction:
                 mean=np.zeros(2), matrix=np.eye(2), fit_count=fit_count, eps=eps
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mean", np.zeros(2, dtype=complex)), ("matrix", np.eye(2, dtype=complex)),
+         ("mean", ["0", "0"]), ("matrix", np.array([[b"1", b"0"], [b"0", b"1"]])),
+         ("matrix", [[1.0], [1.0, 2.0]]), ("matrix", [[10**400, 0.0], [0.0, 1.0]])],
+        ids=["complex-mean", "complex-matrix", "string-mean", "bytes-matrix",
+             "ragged-matrix", "beyond-float64"],
+    )
+    def test_values_that_are_not_real_refused(self, field, value):
+        values = {"mean": np.zeros(2), "matrix": np.eye(2), field: value}
+        with pytest.raises(errors.InvalidParameter, match=field):
+            whitening.WhiteningTransform(**values, fit_count=2, eps=0.0)
+
     def test_numpy_scalar_metadata_stored_as_python_numbers(self):
         t = whitening.WhiteningTransform(
             mean=np.zeros(2), matrix=np.eye(2), fit_count=np.int64(5), eps=np.float32(0.5)
