@@ -297,6 +297,9 @@ def run(argv=None) -> int:
     except OSError as e:
         print(f"IOError: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"MemoryError: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

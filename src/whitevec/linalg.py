@@ -3,8 +3,10 @@
 ``sym_eig`` hands the factorization to LAPACK (``numpy.linalg.eigh``) and
 adds a deterministic presentation: eigenvalues sorted descending, each
 eigenvector column signed so its largest-magnitude entry is non-negative.
-Inside a degenerate eigenspace (repeated eigenvalues) the basis LAPACK
-returns is deterministic only for a given platform and BLAS build.
+The result is deterministic for a given platform, BLAS build and BLAS
+thread count (``OPENBLAS_NUM_THREADS`` for OpenBLAS): a different
+thread count can change the last bits, and inside a degenerate
+eigenspace (repeated eigenvalues) the basis itself.
 """
 
 from dataclasses import dataclass

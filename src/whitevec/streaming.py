@@ -18,11 +18,14 @@ merged results agree up to round-off.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, InvalidParameter, NonFinite
 
 OVERFLOW = "mean or covariance overflows float64"
+REAL = (numbers.Real, np.bool_)  # numpy registers its floats and integers, not its bool
 
 
 def as_real(x, name: str) -> np.ndarray:
@@ -30,13 +33,14 @@ def as_real(x, name: str) -> np.ndarray:
 
     The one rule for numeric input, of rows and transforms alike. An
     object array (Python integers beyond int64, say) is converted to
-    float64 here. Complex, string and bytes values, and anything numpy
-    cannot convert (a ragged list, an integer beyond float64), raise
-    InvalidParameter naming ``name``.
+    float64 here if every element is a real number. Complex, string,
+    bytes and None values, and anything numpy cannot convert (a ragged
+    list, an integer beyond float64), raise InvalidParameter naming
+    ``name``.
     """
     try:
         x = np.asarray(x)
-        if x.dtype == object:
+        if x.dtype == object and all(isinstance(v, REAL) for v in x.flat):
             x = x.astype(np.float64)
     except (ValueError, TypeError, OverflowError) as e:
         raise InvalidParameter(f"{name} is not an array of real numbers: {e}") from None
@@ -80,17 +84,18 @@ class MomentState:
 
         A zero-row block leaves the state unchanged. float32 rows are
         upcast as they are centred, into the one float64 buffer the
-        scatter GEMM reads.
+        scatter GEMM reads. NonFinite, leaving the state unchanged, for
+        NaN or Inf in the rows and for a mean or covariance beyond
+        float64: the one check, of the block's mean and scatter diagonal,
+        finds both, as numpy's column sums carry a NaN or Inf into the mean.
         """
         x = as_real(x, "rows")
         block = as_rows(x[np.newaxis] if x.ndim == 1 else x, self.dim, "rows")
-        if not np.all(np.isfinite(block)):
-            raise NonFinite("input rows contain NaN or Inf")
         m = block.shape[0]
         if m == 0:
             return
-        if m == 1:
-            mean, scatter = block[0], 0.0  # a single row's own scatter is zero
+        if m == 1:  # a single row's own scatter is zero, and its mean is the row
+            mean, scatter, result = block[0], 0.0, block[0]
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 mean = block.mean(axis=0, dtype=np.float64)
@@ -99,9 +104,9 @@ class MomentState:
             # BLAS worker threads do not report overflow to numpy, so check.
             # A scatter is a sum of outer products: by Cauchy-Schwarz its
             # diagonal bounds every entry, so checking the diagonal suffices.
-            diagonal = np.diagonal(scatter)
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(diagonal))):
-                raise NonFinite(OVERFLOW)
+            result = np.concatenate((mean, np.diagonal(scatter)))
+        if not np.all(np.isfinite(result)):
+            raise NonFinite(f"rows contain NaN or Inf, or their {OVERFLOW}")
         if self.mean is None:
             d = block.shape[1]
             if d < 1:

@@ -235,22 +235,22 @@ def apply_batch(t: WhiteningTransform, data: np.ndarray) -> np.ndarray:
     tile is centred in one reused buffer: beyond its output, the call
     allocates O(TILE_ROWS * d); float32 rows are upcast by the centring
     itself. NonFinite for NaN or Inf in ``data`` and for a finite row
-    whose centring or product overflows float64.
+    whose centring or product overflows float64, both found by the one
+    check, of each tile's output: NaN * w and Inf * 0 are NaN, so a NaN
+    or Inf anywhere in a row leaves no entry of that row's output finite.
     """
     data = as_rows(data, t.input_dim, "data")
     out = np.empty((data.shape[0], t.output_dim))
     tile = np.zeros((TILE_ROWS, t.input_dim))
     for start in range(0, data.shape[0], TILE_ROWS):
         rows = data[start : start + TILE_ROWS]
-        if not np.all(np.isfinite(rows)):
-            raise NonFinite("embedding matrix contains NaN or Inf")
         m = rows.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(rows, t.mean, out=tile[:m])
             tile[m:] = 0.0
             out[start : start + m] = (tile @ t.matrix)[:m]
         if not np.all(np.isfinite(out[start : start + m])):
-            raise NonFinite("a whitened value overflows float64")
+            raise NonFinite("rows contain NaN or Inf, or a whitened value overflows float64")
     return out
 
 

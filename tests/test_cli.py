@@ -2,6 +2,9 @@ import argparse
 import json
 import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -736,3 +739,26 @@ def test_ks_tokens_may_be_padded(workdir, capsys, ks):
     expected = capsys.readouterr().out
     assert run(["sweep", *pairs, "--ks", ks]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", [["fit", "--k", "1", "--out", "w.json"], ["stats"]])
+def test_memory_error_is_one_line(tmp_path, command):
+    """A 1.6 MB file of 2 x 200 000 rows asks for 298 GiB of d x d moments.
+
+    The child's address space is capped at 4 GiB (RLIMIT_AS, set in the
+    child only), so the allocation fails there whatever the machine has.
+    """
+    fileio.write_emb1(tmp_path / "wide.emb1", np.ones((2, 200_000)), dtype="float32")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(fileio.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "whitevec.cli", command[0], "--input", "wide.emb1", *command[1:]],
+        cwd=tmp_path, env=env, preexec_fn=cap_address_space, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("MemoryError: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "w.json").exists()

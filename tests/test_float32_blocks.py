@@ -98,12 +98,34 @@ def test_paired_dataset_keeps_float32_and_scores_alike(paths):
 
 @pytest.mark.parametrize("row", [0, 300])
 def test_nan_in_float32_block_is_nonfinite(row):
-    block = np.ones((400, D), dtype=np.float32)
-    block[row, 3] = np.nan
-    t = whitening.WhiteningTransform(mean=np.zeros(D), matrix=np.eye(D), fit_count=2, eps=0.0)
-    with pytest.raises(errors.NonFinite):
-        streaming.MomentState().update(block)
-    with pytest.raises(errors.NonFinite):
-        streaming.MomentState().update(block[row])
-    with pytest.raises(errors.NonFinite):
-        whitening.apply_batch(t, block)
+    """One NaN, +Inf or -Inf value fails each stage's one check, on its own result.
+
+    ``apply_batch`` sees it in its output only because NaN * w and Inf * 0
+    are NaN. Two matrices are zero in the bad value's row, so a BLAS that
+    skipped zero entries would leave the output finite and fail here.
+    """
+    zero_rows = np.eye(D)
+    zero_rows[::3] = 0.0  # row 3 among them
+    one_column = np.ones((D, 1))  # k = 1
+    one_column[3] = 0.0
+    for dtype in (np.float32, np.float64):
+        for bad in (np.nan, np.inf, -np.inf):
+            block = np.ones((400, D), dtype=dtype)
+            block[row, 3] = bad
+            with pytest.raises(errors.NonFinite):
+                streaming.MomentState().update(block)
+            with pytest.raises(errors.NonFinite):
+                streaming.MomentState().update(block[row])
+            for matrix in (np.eye(D), zero_rows, one_column):
+                t = whitening.WhiteningTransform(
+                    mean=np.zeros(D), matrix=matrix, fit_count=2, eps=0.0
+                )
+                with pytest.raises(errors.NonFinite):
+                    whitening.apply_batch(t, block)
+                with pytest.raises(errors.NonFinite):
+                    whitening.apply(t, block[row])
+        # +Inf and -Inf in one column of a 2-row block: the column's mean is NaN.
+        pair = np.ones((2, D), dtype=dtype)
+        pair[:, 3] = np.inf, -np.inf
+        with pytest.raises(errors.NonFinite):
+            streaming.MomentState().update(pair)

@@ -239,6 +239,11 @@ NOT_REAL = {
     "bytes": np.array([[b"1", b"2"], [b"3", b"5"], [b"4", b"9"]]),
     "ragged": [[1.0], [1.0, 2.0], [3.0, 4.0]],
     "beyond-float64": [[1.0, 10**400], [3.0, 5.0], [4.0, 9.0]],
+    # Object arrays follow the same rule, element by element: no parsing, no None as NaN.
+    "object-string": np.array([["1", "2"], ["3", "5"], ["4", "9"]], dtype=object),
+    "object-bytes": np.array([[b"1", 2.0], [3.0, 5.0], [4.0, 9.0]], dtype=object),
+    "object-none": [[None, 1.0], [3.0, 5.0], [4.0, 9.0]],
+    "object-complex": np.array([[1 + 0j, 2.0], [3.0, 5.0], [4.0, 9.0]], dtype=object),
 }
 ROW_READERS = {
     "as_rows": lambda x: streaming.as_rows(x, None, "rows"),
@@ -258,8 +263,9 @@ def test_rows_that_are_not_real_refused(reader, values):
 @pytest.mark.parametrize(
     "values",
     [np.array([[True, False]]), np.array([[1, 2]], dtype=np.uint8), [[1, 2**70]],
-     np.array([[0.5, 2.0]], dtype=np.float16)],
-    ids=["bool", "uint8", "int-beyond-int64", "float16"],
+     np.array([[0.5, 2.0]], dtype=np.float16),
+     np.array([[np.True_, np.float32(0.5)], [np.int8(3), 2**70]], dtype=object)],
+    ids=["bool", "uint8", "int-beyond-int64", "float16", "object-numpy-scalars"],
 )
 def test_real_rows_become_float64(values):
     rows = streaming.as_rows(values, 2, "rows")

@@ -378,9 +378,10 @@ class TestConstruction:
         "field, value",
         [("mean", np.zeros(2, dtype=complex)), ("matrix", np.eye(2, dtype=complex)),
          ("mean", ["0", "0"]), ("matrix", np.array([[b"1", b"0"], [b"0", b"1"]])),
-         ("matrix", [[1.0], [1.0, 2.0]]), ("matrix", [[10**400, 0.0], [0.0, 1.0]])],
+         ("matrix", [[1.0], [1.0, 2.0]]), ("matrix", [[10**400, 0.0], [0.0, 1.0]]),
+         ("mean", np.array(["0", "0"], dtype=object))],
         ids=["complex-mean", "complex-matrix", "string-mean", "bytes-matrix",
-             "ragged-matrix", "beyond-float64"],
+             "ragged-matrix", "beyond-float64", "object-string-mean"],
     )
     def test_values_that_are_not_real_refused(self, field, value):
         values = {"mean": np.zeros(2), "matrix": np.eye(2), field: value}
