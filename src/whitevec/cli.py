@@ -190,7 +190,8 @@ def _load_index_and_queries(args):
     blocks, count, dim = _emb1_blocks(args.index, t, None)
     queries, _, _ = _emb1_blocks(args.query, t, dim)
     index = retrieval.build_index_blocks(blocks, count, dim)
-    return index, np.concatenate([np.empty((0, dim)), *queries])
+    # float32 blocks stay float32: top_k_batch upcasts them exactly.
+    return index, np.concatenate([np.empty((0, dim), dtype=np.float32), *queries])
 
 
 def cmd_search(args) -> int:

@@ -241,17 +241,28 @@ def _numbers(value) -> bool:
 
 
 def save_transform(path, t: WhiteningTransform) -> None:
-    """Serialize a transform as JSON; doubles round-trip bit-exactly."""
-    doc = {
-        "format": TRANSFORM_FORMAT,
-        "input_dim": t.input_dim,
-        "output_dim": t.output_dim,
-        "mean": t.mean.tolist(),
-        "matrix": t.matrix.tolist(),
-        "fit_count": t.fit_count,
-        "eps": t.eps,
-    }
-    write_atomic(path, [(json.dumps(doc, indent=1) + "\n").encode("utf-8")])
+    """Serialize a transform as JSON; doubles round-trip bit-exactly.
+
+    The bytes are ``json.dumps(doc, indent=1) + "\\n"`` of the whitening-v1
+    object, written a matrix row at a time: ``indent`` turns off json's C
+    encoder, and its Python encoder is slow and holds the whole text.
+    ``repr`` is the float and int spelling json uses.
+    """
+
+    def values(row, indent):
+        return indent + f",\n{indent}".join(map(repr, row.tolist()))
+
+    def chunks():
+        yield (
+            f'{{\n "format": {json.dumps(TRANSFORM_FORMAT)},\n'
+            f' "input_dim": {t.input_dim},\n "output_dim": {t.output_dim},\n'
+            f' "mean": [\n{values(t.mean, "  ")}\n ],\n "matrix": ['
+        ).encode()
+        for i, row in enumerate(t.matrix):
+            yield f'{"," if i else ""}\n  [\n{values(row, "   ")}\n  ]'.encode()
+        yield f'\n ],\n "fit_count": {t.fit_count!r},\n "eps": {t.eps!r}\n}}\n'.encode()
+
+    write_atomic(path, chunks())
 
 
 def load_transform(path) -> WhiteningTransform:

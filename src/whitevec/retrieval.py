@@ -7,10 +7,10 @@ effect of dimensionality reduction directly measurable without any
 approximate-index artifacts.
 
 ``top_k_batch`` scores up to ``QUERY_TILE`` queries per BLAS call as
-``index.vectors @ tile.T`` (an n x m float32 block) and selects each
-query's top k exactly: scores are clipped to [-1, 1], every score tied
-with the k-th is a candidate, and candidates are ordered by descending
-score, then ascending id. ``top_k`` is its one-row call; a one-row tile
+``tile @ index.vectors.T`` (an m x n float32 block, one row per query)
+and selects each query's top k exactly: scores are clipped to [-1, 1],
+every score tied with the k-th is a candidate, and candidates are
+ordered by descending score, then ascending id. ``top_k`` is its one-row call; a one-row tile
 is a matrix-vector product, so a lone query costs one GEMV. A row of a
 larger batch can differ from the lone call only in the last float32 bit
 of a score (GEMM and GEMV round differently), so ids can differ only at
@@ -28,8 +28,11 @@ from .streaming import as_rows
 from .whitening import checked_blocks, require_int, row_blocks
 
 ZERO_NORM = 1e-30
-# Queries per score block: 64 x n float32 is 25.6 MB at n = 100k.
-QUERY_TILE = 64
+# Queries per score block: 128 x n float32 is 51.2 MB at n = 100k. Scored
+# m x n, threaded OpenBLAS sgemm keeps few packing buffers resident (n x m
+# kept ~44 MB at n = 100k, d = 256); it matches n x m's speed at m = 64
+# only from m = 128.
+QUERY_TILE = 128
 # Residue classes whose maxima bound the k-th best score (see _select).
 SELECT_CLASSES = 1024
 # Fewest passes over the queries that `benchmark` accepts.
@@ -157,52 +160,52 @@ def top_k_batch(
     if k == 0:  # every indexed row had zero norm
         return [[] for _ in range(unit.shape[0])]
     # One score buffer for every tile; each tile's scores are a C-contiguous
-    # n x m view of it, the layout `index.vectors @ tile.T` would allocate.
+    # m x n view of it, the layout `tile @ index.vectors.T` would allocate.
     buffer = np.empty(index.size * min(QUERY_TILE, unit.shape[0]), dtype=np.float32)
     results = []
     for start in range(0, unit.shape[0], QUERY_TILE):
         tile = unit[start : start + QUERY_TILE]
-        scores = buffer[: index.size * tile.shape[0]].reshape(index.size, tile.shape[0])
-        np.matmul(index.vectors, tile.T, out=scores)
+        scores = buffer[: tile.shape[0] * index.size].reshape(tile.shape[0], index.size)
+        np.matmul(tile, index.vectors.T, out=scores)
         results += _select(scores, index.ids, k)
     return results
 
 
 def _select(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[tuple[int, float]]]:
-    """Top k of each column of an n x m score block, k <= n.
+    """Top k of each row of an m x n score block, k <= n.
 
-    Row i belongs to residue class i % c, c = min(n, max(k, SELECT_CLASSES)).
+    Column j belongs to residue class j % c, c = min(n, max(k, SELECT_CLASSES)).
     At least k classes have a maximum >= the k-th largest class maximum,
     so that value never exceeds the k-th best score: every score at or
     above it (after clipping, which keeps order) is a candidate, found by
     scanning only the classes that reach it. Ordering the candidates by
-    (column, -score, id) and keeping k per column is then exact.
+    (row, -score, id) and keeping k per row is then exact.
     """
-    n, m = scores.shape
+    m, n = scores.shape
     classes = min(n, max(k, SELECT_CLASSES))
     depth = n // classes
-    best = scores[: classes * depth].reshape(depth, classes, m).max(axis=0)
-    tail = scores[classes * depth :]
-    np.maximum(best[: tail.shape[0]], tail, out=best[: tail.shape[0]])
+    best = scores[:, : classes * depth].reshape(m, depth, classes).max(axis=1)
+    tail = scores[:, classes * depth :]
+    np.maximum(best[:, : tail.shape[1]], tail, out=best[:, : tail.shape[1]])
     np.clip(best, -1.0, 1.0, out=best)
     kth = classes - k
-    threshold = np.partition(best, kth, axis=0)[kth]
+    threshold = np.partition(best, kth, axis=1)[:, kth]
 
-    cls, col = np.nonzero(best >= threshold)
-    rows = cls[:, np.newaxis] + classes * np.arange(depth + 1)
-    inside = rows < n
-    rows = rows[inside]
-    col = np.broadcast_to(col[:, np.newaxis], inside.shape)[inside]
-    vals = np.clip(scores[rows, col], -1.0, 1.0)
-    hit = vals >= threshold[col]
-    rows, col, vals = rows[hit], col[hit], vals[hit]
+    row, cls = np.nonzero(best >= threshold[:, np.newaxis])
+    col = cls[:, np.newaxis] + classes * np.arange(depth + 1)
+    inside = col < n
+    col = col[inside]
+    row = np.broadcast_to(row[:, np.newaxis], inside.shape)[inside]
+    vals = np.clip(scores[row, col], -1.0, 1.0)
+    hit = vals >= threshold[row]
+    row, col, vals = row[hit], col[hit], vals[hit]
 
-    order = np.lexsort((ids[rows], -vals, col))
-    col = col[order]
-    counts = np.bincount(col, minlength=m)
-    rank = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
+    order = np.lexsort((ids[col], -vals, row))
+    row = row[order]
+    counts = np.bincount(row, minlength=m)
+    rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
     chosen = order[rank < k]
-    hit_ids = ids[rows[chosen]].tolist()
+    hit_ids = ids[col[chosen]].tolist()
     hit_scores = vals[chosen].tolist()
     return [
         list(zip(hit_ids[i * k : (i + 1) * k], hit_scores[i * k : (i + 1) * k]))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whitevec import evaluation, fileio, retrieval, streaming, whitening
+from whitevec import cli, evaluation, fileio, retrieval, streaming, whitening
 from whitevec.cli import build_parser, run
 from whitevec.evaluation import cosine_similarity
 
@@ -612,6 +612,16 @@ def test_search_queries_span_blocks(workdir, fitted, monkeypatch, capsys, with_t
     refuse_bulk_read(monkeypatch, workdir / "q.emb1")
     assert run(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_search_queries_keep_their_file_dtype(workdir, dtype):
+    """A float32 query file is not widened to float64 ahead of top_k_batch."""
+    fileio.write_emb1(workdir / "q.emb1", np.ones((3, 4)), dtype=dtype)
+    args = build_parser().parse_args(["search", "--index", str(workdir / "data.emb1"),
+                                      "--query", str(workdir / "q.emb1")])
+    _, queries = cli._load_index_and_queries(args)
+    assert queries.dtype == dtype and queries.shape == (3, 4)
 
 
 def test_search_index_of_wrong_dim_for_transform(workdir, fitted, capsys):

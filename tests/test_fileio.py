@@ -94,6 +94,20 @@ def test_emb1_roundtrip_bit_exact(tmp_path_factory, n, d, seed):
     assert np.array_equal(fileio.read_emb1(path), data)
 
 
+def json_dumps_text(t: whitening.WhiteningTransform) -> bytes:
+    """The bytes save_transform wrote when it called json.dumps(doc, indent=1)."""
+    doc = {
+        "format": fileio.TRANSFORM_FORMAT,
+        "input_dim": t.input_dim,
+        "output_dim": t.output_dim,
+        "mean": t.mean.tolist(),
+        "matrix": t.matrix.tolist(),
+        "fit_count": t.fit_count,
+        "eps": t.eps,
+    }
+    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
 class TestTransformFile:
     @pytest.fixture
     def transform(self):
@@ -112,6 +126,20 @@ class TestTransformFile:
         assert np.array_equal(
             whitening.apply(back, x), whitening.apply(transform, x)
         )
+
+    @pytest.mark.parametrize(
+        "mean, matrix, fit_count, eps",
+        [
+            ([-0.0], [[5e-324]], 1, 0.0),
+            ([1e308, -1e308], [[3.0], [-0.0]], 2**62 + 1, 1e-300),
+            ([2.0], [[1.0, -5e-324, 1.7976931348623157e308]], 10**12, 7.0),
+            ([0.1, 1e16, -2.5e-8], np.arange(-4.0, 5.0).reshape(3, 3), 3, 1e-9),
+        ],
+    )
+    def test_bytes_are_json_dumps_indent_1(self, tmp_path, mean, matrix, fit_count, eps):
+        t = whitening.WhiteningTransform(mean=mean, matrix=matrix, fit_count=fit_count, eps=eps)
+        fileio.save_transform(tmp_path / "w.json", t)
+        assert (tmp_path / "w.json").read_bytes() == json_dumps_text(t)
 
     def test_schema_row_length_mismatch(self, tmp_path, transform):
         path = tmp_path / "w.json"
@@ -205,6 +233,7 @@ def constructible_transforms(draw) -> whitening.WhiteningTransform:
 def test_every_constructible_transform_round_trips(tmp_path_factory, t):
     path = tmp_path_factory.mktemp("rt") / "w.json"
     fileio.save_transform(path, t)
+    assert path.read_bytes() == json_dumps_text(t)
     back = fileio.load_transform(path)
     assert back.mean.tobytes() == t.mean.tobytes()
     assert back.matrix.tobytes() == t.matrix.tobytes()

@@ -38,9 +38,9 @@ def batch_oracle(index, queries, k):
     unit = (q / np.sqrt(np.vecdot(q, q))[:, np.newaxis]).astype(np.float32)
     out = []
     for start in range(0, unit.shape[0], retrieval.QUERY_TILE):
-        block = np.clip(index.vectors @ unit[start : start + retrieval.QUERY_TILE].T, -1.0, 1.0)
-        for col in block.T:
-            ranked = sorted(zip(index.ids.tolist(), col.tolist()), key=lambda p: (-p[1], p[0]))
+        block = np.clip(unit[start : start + retrieval.QUERY_TILE] @ index.vectors.T, -1.0, 1.0)
+        for row in block:
+            ranked = sorted(zip(index.ids.tolist(), row.tolist()), key=lambda p: (-p[1], p[0]))
             out.append([(int(i), float(s)) for i, s in ranked[:k]])
     return out
 
@@ -290,7 +290,7 @@ class TestTopKBatch:
         assert len(seen) == 3 and buffer is not None and all(b is buffer for b, _ in seen)
         for i, (_, scores) in enumerate(seen):
             tile = unit[i * retrieval.QUERY_TILE : (i + 1) * retrieval.QUERY_TILE]
-            assert np.array_equal(scores, idx.vectors @ tile.T)
+            assert np.array_equal(scores, tile @ idx.vectors.T)
 
     def test_ties_at_boundary_resolved_by_id(self):
         data = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 7, axis=0)
