@@ -35,7 +35,7 @@ from .fileio import (
     write_emb1,
     write_emb1_blocks,
 )
-from .linalg import EigenDecomposition, inv_sqrt_diag, sym_eig
+from .linalg import EigenDecomposition, sym_eig
 from .retrieval import (
     BenchReport,
     CosineIndex,

@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from . import evaluation, fileio, linalg, retrieval, streaming, whitening
-from .errors import DimensionMismatch, WhitevecError
+from .errors import DimensionMismatch, NonFinite, WhitevecError
 from .whitening import FULL
 
 
@@ -170,11 +170,15 @@ def cmd_stats(args) -> int:
     mean, cov = streaming.finalize(state)
     eig = linalg.sym_eig(cov)
     top = eig.eigenvalues[:10]
-    (mean_norm,), _ = retrieval.row_norms(mean[np.newaxis])
+    with np.errstate(over="ignore"):
+        mean_norm = np.sqrt(np.vecdot(mean, mean))
+        trace = np.trace(cov)
+    if not (np.isfinite(mean_norm) and np.isfinite(trace)):
+        raise NonFinite("the mean's norm or the covariance trace overflows float64")
     lines = [
         f"n\t{state.count}\n",
         f"mean_norm\t{mean_norm:.12g}\n",
-        f"trace\t{np.trace(cov):.12g}\n",
+        f"trace\t{trace:.12g}\n",
         "top_eigenvalues\t" + " ".join(f"{v:.12g}" for v in top) + "\n",
     ]
     _emit("".join(lines), args.out)

@@ -32,14 +32,18 @@ class NoConvergence(WhitevecError):
 
 
 class RankDeficient(WhitevecError):
-    """Requested output dimension exceeds the numerical rank."""
+    """Requested output dimension exceeds the numerical rank.
+
+    At rank 0 no k can be met, so the message names the cause instead.
+    """
 
     code = "RankDeficient"
 
     def __init__(self, requested: int, rank: int):
         super().__init__(
-            f"requested k={requested} exceeds numerical rank r={rank}; "
-            f"retry with k <= {rank}"
+            f"requested k={requested} exceeds numerical rank r={rank}; retry with k <= {rank}"
+            if rank
+            else "numerical rank r=0: no direction's variance exceeds the rank tolerance"
         )
         self.requested = requested
         self.rank = rank

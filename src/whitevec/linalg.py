@@ -20,18 +20,6 @@ from .errors import DimensionMismatch, NoConvergence, NonFinite
 NEG_CLAMP_TOL = 1e-10
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2 as a fresh float64 array.
-
-    Halves before adding, so finite entries never overflow.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    half = a / 2.0
-    return half + half.T
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenpairs of a symmetric matrix, eigenvalues in descending order.
@@ -46,18 +34,22 @@ class EigenDecomposition:
 def sym_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition A = U diag(lam) U^T for symmetric A.
 
-    The input is symmetrized via (A + A^T)/2 before factoring. Tiny
-    negative eigenvalues (round-off on PSD inputs) are clamped to zero.
+    The input is symmetrized via (A + A^T)/2 before factoring, halved
+    before adding so finite entries never overflow. Tiny negative
+    eigenvalues (round-off on PSD inputs) are clamped to zero.
 
     Raises NonFinite for NaN/Inf entries or eigenvalues beyond the float64
-    range, and NoConvergence if LAPACK fails to converge.
+    range, DimensionMismatch for a finite input that is not square, and
+    NoConvergence if LAPACK fails to converge.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix contains NaN or Inf")
-    work = symmetrize(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    half = a / 2.0
     try:
-        ascending, vectors = np.linalg.eigh(work)
+        ascending, vectors = np.linalg.eigh(half + half.T)
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"LAPACK eigh failed: {e}") from e
     if not np.all(np.isfinite(ascending)):
@@ -77,14 +69,3 @@ def sym_eig(a: np.ndarray) -> EigenDecomposition:
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
-
-
-def inv_sqrt_diag(eigenvalues: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
-    """Return (lam_i^{-1/2} for lam_i > eps, effective rank).
-
-    Eigenvalues at or below eps are dropped; the caller decides what to do
-    with the reduced rank.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    kept = eigenvalues[eigenvalues > eps]
-    return 1.0 / np.sqrt(kept), int(kept.size)

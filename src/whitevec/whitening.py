@@ -152,7 +152,7 @@ def require_int(value, name: str) -> int:
     return int(value)
 
 
-def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransform:
+def fit(data: np.ndarray, k, eps: float | None = None) -> WhiteningTransform:
     """Fit a whitening transform on the rows of ``data``.
 
     The rows are folded in ``row_blocks`` slices exactly as ``whitevec
@@ -164,16 +164,15 @@ def fit(data: np.ndarray, k="full", eps: float | None = None) -> WhiteningTransf
     return fit_from_moments(fold(row_blocks(data)), k, eps)
 
 
-def fit_from_moments(
-    state: MomentState, k="full", eps: float | None = None
-) -> WhiteningTransform:
+def fit_from_moments(state: MomentState, k, eps: float | None = None) -> WhiteningTransform:
     """Fit a whitening transform from accumulated moments.
 
-    ``k`` is the requested output dimensionality, or "full" for the whole
-    numerical rank. An eigenvalue counts toward the rank only if it
-    exceeds ``max(eps, d * machine_eps * lam_max)``: at or below that its
-    inverse square root amplifies round-off. Asking for more than the
-    rank raises RankDeficient rather than silently truncating. ``k``
+    ``k``, which has no default, is the requested output dimensionality,
+    or "full" for the whole numerical rank. An eigenvalue counts toward
+    the rank only if it exceeds ``max(eps, d * machine_eps * lam_max)``:
+    at or below that its inverse square root amplifies round-off. Asking
+    for more than the rank raises RankDeficient rather than silently
+    truncating, and so does "full" at rank 0. ``k``
     must be "full" or an integer and ``eps`` pass ``valid_eps``
     (InvalidParameter otherwise), and ``state`` be a ``MomentState``.
     """
@@ -184,8 +183,6 @@ def fit_from_moments(
     if k != FULL:
         k = require_int(k, "k")
     n, d = state.count, state.dim
-    if n == 0:
-        raise EmptyInput("cannot fit a transform on zero rows")
     if n < 2:
         raise EmptyInput(f"fitting requires at least 2 rows, got {n}")
     if k != FULL and not 1 <= k <= d:
@@ -195,19 +192,17 @@ def fit_from_moments(
     if eps is None:
         eps = default_eps(cov)
     eig = linalg.sym_eig(cov)
-    floor = max(eps, d * np.finfo(np.float64).eps * eig.eigenvalues[0])
-    scales, rank = linalg.inv_sqrt_diag(eig.eigenvalues, floor)
-
+    lam = eig.eigenvalues
+    floor = max(eps, d * np.finfo(np.float64).eps * lam[0])
+    # lam is sorted descending, so the eigenvalues above the floor are a prefix.
+    rank = int(np.count_nonzero(lam > floor))
     if k == FULL:
-        k = rank
-        if rank == 0:
-            raise RankDeficient(1, 0)
-    elif k > rank:
+        k = max(rank, 1)  # at rank 0, "full" fails as a request for one column
+    if k > rank:
         raise RankDeficient(k, rank)
 
-    return WhiteningTransform(
-        mean=mean, matrix=eig.eigenvectors[:, :k] * scales[:k], fit_count=n, eps=eps
-    )
+    matrix = eig.eigenvectors[:, :k] * (1.0 / np.sqrt(lam[:k]))
+    return WhiteningTransform(mean=mean, matrix=matrix, fit_count=n, eps=eps)
 
 
 def truncate(t: WhiteningTransform, k: int) -> WhiteningTransform:

@@ -20,11 +20,9 @@ DEFAULTED = [
     "fileio.write_emb1.dtype",
     "fileio.write_emb1_blocks.dtype",
     "whitening.fit.eps",
-    "whitening.fit.k",
     "whitening.fit_from_moments.eps",
-    "whitening.fit_from_moments.k",
 ]
-CENSUS = 43
+CENSUS = 41
 
 
 def cli_flags() -> dict[str, int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whitevec import cli, evaluation, fileio, retrieval, streaming, whitening
+from whitevec import cli, errors, evaluation, fileio, retrieval, streaming, whitening
 from whitevec.cli import build_parser, run
 from whitevec.evaluation import cosine_similarity
 
@@ -39,6 +39,22 @@ def test_fit_happy_path(workdir):
     assert code == 0
     t = fileio.load_transform(out)
     assert t.output_dim == 2 and t.input_dim == 4 and t.fit_count == 120
+
+
+@pytest.mark.parametrize("k", ["full", "2"])
+def test_fit_at_rank_zero_gives_followable_advice(workdir, k, capsys):
+    """Constant rows have rank 0: no k can succeed, so none is suggested."""
+    fileio.write_emb1(workdir / "flat.emb1", np.full((5, 3), 2.0))
+    code = run(["fit", "--input", str(workdir / "flat.emb1"), "--k", k,
+                "--out", str(workdir / "w.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("RankDeficient:") and "r=0" in err
+    assert "no direction's variance exceeds the rank tolerance" in err
+    assert "retry" not in err and "k=" not in err
+    with pytest.raises(errors.RankDeficient) as exc:
+        whitening.fit(np.full((5, 3), 2.0), k="full")
+    assert (exc.value.requested, exc.value.rank) == (1, 0)
 
 
 def test_fit_k_zero_is_usage_error(workdir, capsys):
@@ -450,6 +466,26 @@ def test_stats_mean_norm_overflow_is_a_runtime_error(tmp_path, capsys):
     assert run(["stats", "--input", str(path), "--out", str(tmp_path / "stats.tsv")]) == 1
     assert capsys.readouterr().err.startswith("NonFinite:")
     assert not (tmp_path / "stats.tsv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_stats_trace_overflow_is_a_runtime_error(tmp_path, capsys):
+    """Every covariance entry is finite, but the trace overflows: NonFinite, not inf.
+
+    ``fit`` on the same rows still succeeds, through ``default_eps``'s fallback.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((10, 40))
+    x -= x.mean(axis=0)  # centred, so rank 9
+    x *= np.sqrt(6e307 / np.sum(x * x, axis=0))  # each column's scatter is 6e307
+    path = tmp_path / "huge.emb1"
+    fileio.write_emb1(path, x)
+    assert run(["stats", "--input", str(path), "--out", str(tmp_path / "stats.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NonFinite:") and "trace" in err
+    assert not (tmp_path / "stats.tsv").exists()
+    assert run(["fit", "--input", str(path), "--k", "full", "--out", str(tmp_path / "w.json")]) == 0
+    assert fileio.load_transform(tmp_path / "w.json").output_dim == 9
 
 
 @pytest.mark.filterwarnings("error")

@@ -248,7 +248,7 @@ NOT_REAL = {
 ROW_READERS = {
     "as_rows": lambda x: streaming.as_rows(x, None, "rows"),
     "update": lambda x: streaming.MomentState().update(x),
-    "fit": whitening.fit,
+    "fit": lambda x: whitening.fit(x, "full"),
     "build_index": retrieval.build_index,
 }
 

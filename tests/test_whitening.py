@@ -140,12 +140,12 @@ class TestFit:
     def test_numpy_integer_k_accepted(self):
         t = whitening.fit(FOUR_POINTS, k=np.int64(1))
         assert t.output_dim == 1 and type(t.output_dim) is int
-        assert whitening.truncate(whitening.fit(FOUR_POINTS), np.int32(1)).output_dim == 1
+        assert whitening.truncate(whitening.fit(FOUR_POINTS, k="full"), np.int32(1)).output_dim == 1
 
     @pytest.mark.parametrize("k", [2.5, 1.0, True, "1"])
     def test_truncate_non_integer_k_rejected(self, k):
         with pytest.raises(errors.InvalidParameter):
-            whitening.truncate(whitening.fit(FOUR_POINTS), k)
+            whitening.truncate(whitening.fit(FOUR_POINTS, k="full"), k)
 
     @pytest.mark.filterwarnings("error")
     def test_default_eps_finite_when_trace_overflows(self):
