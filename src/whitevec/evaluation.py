@@ -11,7 +11,7 @@ from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import row_norms
 from .streaming import MomentState, as_real, as_rows, fold
-from .whitening import FULL, WhiteningTransform, checked_blocks, require_int, row_blocks
+from .whitening import FULL, WhiteningTransform, checked_blocks, require_k, row_blocks
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,17 @@ def fit_corpus(data: PairedDataset) -> MomentState:
 def sweep_transforms(fit_data: MomentState, ks) -> list[WhiteningTransform]:
     """One full-rank fit of ``fit_data``, truncated to each entry of ``ks``.
 
-    ``ks`` may contain integers and the string "full"; any other entry
-    raises InvalidParameter before the fit. Entries above the numerical
-    rank are left out. Truncation consistency guarantees each transform
-    matches a separately fitted one of the same k.
+    ``ks`` holds "full" and integers, which must pass ``require_k``
+    before the fit. Entries above the numerical rank are left out.
+    Truncation consistency guarantees each transform matches a
+    separately fitted one of the same k.
     """
-    ks = [k if k == FULL else require_int(k, "k") for k in ks]
+    ks = [k if k == FULL else require_k(k) for k in ks]
     full = whitening.fit_from_moments(fit_data, k=FULL)
     return [
         whitening.truncate(full, full.output_dim if k == FULL else k)
         for k in ks
-        if k == FULL or 1 <= k <= full.output_dim
+        if k == FULL or k <= full.output_dim
     ]
 
 

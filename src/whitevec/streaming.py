@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, InvalidParameter, NonFinite
 
-OVERFLOW = "mean or covariance overflows float64"
 REAL = (numbers.Real, np.bool_)  # numpy registers its floats and integers, not its bool
 
 
@@ -86,54 +85,50 @@ class MomentState:
         upcast as they are centred, into the one float64 buffer the
         scatter GEMM reads. NonFinite, leaving the state unchanged, for
         NaN or Inf in the rows and for a mean or covariance beyond
-        float64: the one check, of the block's mean and scatter diagonal,
-        finds both, as numpy's column sums carry a NaN or Inf into the mean.
+        float64: ``_combine`` checks the combined mean and scatter
+        diagonal, for ``update`` and ``merge`` alike.
         """
         x = as_real(x, "rows")
         block = as_rows(x[np.newaxis] if x.ndim == 1 else x, self.dim, "rows")
-        m = block.shape[0]
+        m, d = block.shape
         if m == 0:
             return
+        if d < 1:
+            raise DimensionMismatch(f"dimension must be >= 1, got {d}")
         if m == 1:  # a single row's own scatter is zero, and its mean is the row
-            mean, scatter, result = block[0], 0.0, block[0]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = block.mean(axis=0, dtype=np.float64)
-                centered = np.subtract(block, mean, dtype=np.float64)
-                scatter = centered.T @ centered
-            # BLAS worker threads do not report overflow to numpy, so check.
-            # A scatter is a sum of outer products: by Cauchy-Schwarz its
-            # diagonal bounds every entry, so checking the diagonal suffices.
-            result = np.concatenate((mean, np.diagonal(scatter)))
-        if not np.all(np.isfinite(result)):
-            raise NonFinite(f"rows contain NaN or Inf, or their {OVERFLOW}")
-        if self.mean is None:
-            d = block.shape[1]
-            if d < 1:
-                raise DimensionMismatch(f"dimension must be >= 1, got {d}")
-            self.mean = np.zeros(d)
-            self.scatter = np.zeros((d, d))
+            self._combine(1, block[0], 0.0)
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = block.mean(axis=0, dtype=np.float64)
+            centered = np.subtract(block, mean, dtype=np.float64)
+            scatter = centered.T @ centered
         self._combine(m, mean, scatter)
 
     def _combine(self, count: int, mean: np.ndarray, scatter) -> None:
-        """Chan combination with a partial state of ``count`` points.
+        """Chan combination with a partial state of ``count`` >= 1 points.
 
-        Raises NonFinite, leaving the state unchanged, if the result
-        overflows float64.
+        The only change to the state and the only finiteness check on the
+        moments: NonFinite, leaving the state unchanged, unless the combined
+        mean and scatter diagonal are finite. numpy's column sums carry a
+        NaN or Inf in the rows into the block mean and so into the combined
+        mean; BLAS worker threads do not report overflow, so it is found in
+        the result; and by Cauchy-Schwarz a scatter's diagonal bounds every
+        entry. An empty state combines as zeros: 0 + (mean - 0) * 1.0.
         """
+        d = mean.shape[0]
+        own_mean = np.zeros(d) if self.mean is None else self.mean
+        own_scatter = np.zeros((d, d)) if self.scatter is None else self.scatter
         total = self.count + count
-        weight = self.count * count / total
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                delta = mean - self.mean
-                new_mean = self.mean + delta * (count / total)
-                new_scatter = self.scatter + scatter
-                if weight:  # zero while the state is empty
-                    outer = np.outer(delta, delta)
-                    outer *= weight
-                    new_scatter += outer
-        except FloatingPointError:
-            raise NonFinite(OVERFLOW) from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = mean - own_mean
+            new_mean = own_mean + delta * (count / total)
+            new_scatter = own_scatter + scatter
+            if self.count:
+                outer = np.outer(delta, delta)
+                outer *= self.count * count / total
+                new_scatter += outer
+        if not (np.isfinite(new_mean).all() and np.isfinite(new_scatter.diagonal()).all()):
+            raise NonFinite("rows contain NaN or Inf, or their mean or covariance overflows float64")
         self.mean, self.scatter, self.count = new_mean, new_scatter, total
 
     def copy(self) -> MomentState:
@@ -155,14 +150,11 @@ def fold(blocks) -> MomentState:
 
 def merge(a: MomentState, b: MomentState) -> MomentState:
     """Combine two partial states as if their streams were concatenated."""
-    if a.count == 0:
-        return b.copy()
-    if b.count == 0:
-        return a.copy()
-    if a.dim != b.dim:
+    if a.count and b.count and a.dim != b.dim:
         raise DimensionMismatch(f"state dims differ: {a.dim} vs {b.dim}")
     out = a.copy()
-    out._combine(b.count, b.mean, b.scatter)
+    if b.count:
+        out._combine(b.count, b.mean, b.scatter)
     return out
 
 

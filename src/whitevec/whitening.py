@@ -152,6 +152,14 @@ def require_int(value, name: str) -> int:
     return int(value)
 
 
+def require_k(k) -> int:
+    """A requested k as an int: InvalidParameter unless an integer, DimensionMismatch below 1."""
+    k = require_int(k, "k")
+    if k < 1:
+        raise DimensionMismatch(f"k must be >= 1, got {k}")
+    return k
+
+
 def fit(data: np.ndarray, k, eps: float | None = None) -> WhiteningTransform:
     """Fit a whitening transform on the rows of ``data``.
 
@@ -172,20 +180,20 @@ def fit_from_moments(state: MomentState, k, eps: float | None = None) -> Whiteni
     the rank only if it exceeds ``max(eps, d * machine_eps * lam_max)``:
     at or below that its inverse square root amplifies round-off. Asking
     for more than the rank raises RankDeficient rather than silently
-    truncating, and so does "full" at rank 0. ``k``
-    must be "full" or an integer and ``eps`` pass ``valid_eps``
-    (InvalidParameter otherwise), and ``state`` be a ``MomentState``.
+    truncating, and so does "full" at rank 0. ``k`` must be "full" or
+    pass ``require_k``, ``eps`` pass ``valid_eps`` (InvalidParameter
+    otherwise), and ``state`` be a ``MomentState``.
     """
     if not isinstance(state, MomentState):
         raise InvalidParameter(f"expected a MomentState, got {type(state).__name__}")
     if eps is not None and not valid_eps(eps):
         raise InvalidParameter(f"eps must be a finite number >= 0, got {eps!r}")
     if k != FULL:
-        k = require_int(k, "k")
+        k = require_k(k)
     n, d = state.count, state.dim
     if n < 2:
         raise EmptyInput(f"fitting requires at least 2 rows, got {n}")
-    if k != FULL and not 1 <= k <= d:
+    if k != FULL and k > d:
         raise DimensionMismatch(f"k={k} outside [1, {d}]")
 
     mean, cov = finalize(state)
@@ -208,11 +216,10 @@ def fit_from_moments(state: MomentState, k, eps: float | None = None) -> Whiteni
 def truncate(t: WhiteningTransform, k: int) -> WhiteningTransform:
     """First-k-columns view of a fitted transform (bit-identical columns).
 
-    ``k`` must be an integer (InvalidParameter) in [1, output_dim]
-    (RankDeficient).
+    ``k`` must pass ``require_k`` and be at most ``output_dim`` (RankDeficient).
     """
-    k = require_int(k, "k")
-    if not 1 <= k <= t.output_dim:
+    k = require_k(k)
+    if k > t.output_dim:
         raise RankDeficient(k, t.output_dim)
     if k == t.output_dim:
         return t

@@ -459,6 +459,21 @@ def test_overflowing_moments_are_runtime_errors(tmp_path, command, capsys):
     assert not (tmp_path / "w.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_stats_and_fit_report_one_moments_overflow_line(tmp_path, capsys):
+    """``stats`` folds row by row and ``fit`` in blocks; one check, so one error line."""
+    path = tmp_path / "huge.emb1"
+    fileio.write_emb1(path, np.random.default_rng(0).standard_normal((7, 4)) * 1e154)
+    lines = []
+    for argv in (["stats"], ["fit", "--k", "full", "--out", str(tmp_path / "w.json")]):
+        assert run([argv[0], "--input", str(path), *argv[1:]]) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] == (
+        "NonFinite: rows contain NaN or Inf, or their mean or covariance overflows float64\n"
+    )
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_stats_mean_norm_overflow_is_a_runtime_error(tmp_path, capsys):
     """The mean is finite, but its norm overflows float64: NonFinite, not inf."""
     path = tmp_path / "huge.emb1"

@@ -290,6 +290,15 @@ class TestSweep:
         with pytest.raises(errors.InvalidParameter):
             evaluation.sweep_k(data, [2, bad], fit_data=streaming.MomentState())
 
+    @pytest.mark.parametrize("ks", [[0], [-2, 3], [3, "full", 0]], ids=str)
+    def test_k_below_one_rejected_before_fitting(self, ks):
+        """A k below 1 is DimensionMismatch, as in ``fit`` and ``truncate``, not silently dropped."""
+        data = self.make_anisotropic(np.random.default_rng(16), d=4)
+        with pytest.raises(errors.DimensionMismatch, match="k must be >= 1"):
+            evaluation.sweep_k(data, ks)
+        with pytest.raises(errors.DimensionMismatch, match="k must be >= 1"):
+            evaluation.sweep_transforms(streaming.MomentState(), ks)
+
     def test_above_rank_skipped(self):
         rng = np.random.default_rng(11)
         data = self.make_anisotropic(rng, d=4)

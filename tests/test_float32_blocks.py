@@ -108,14 +108,22 @@ def test_nan_in_float32_block_is_nonfinite(row):
     zero_rows[::3] = 0.0  # row 3 among them
     one_column = np.ones((D, 1))  # k = 1
     one_column[3] = 0.0
+    seen = streaming.fold([np.arange(3.0 * D).reshape(3, D)])  # a non-empty state
     for dtype in (np.float32, np.float64):
         for bad in (np.nan, np.inf, -np.inf):
             block = np.ones((400, D), dtype=dtype)
             block[row, 3] = bad
-            with pytest.raises(errors.NonFinite):
-                streaming.MomentState().update(block)
-            with pytest.raises(errors.NonFinite):
-                streaming.MomentState().update(block[row])
+            # Into an empty and a non-empty state, as a block and as one
+            # row (the ``stats`` path): NonFinite, and the state is unchanged.
+            for state in (streaming.MomentState(), seen.copy()):
+                before = state.copy()
+                for rows in (block, block[row]):
+                    with pytest.raises(errors.NonFinite, match="NaN or Inf"):
+                        state.update(rows)
+                    assert state.count == before.count and state.dim == before.dim
+                    if before.count:
+                        assert np.array_equal(state.mean, before.mean)
+                        assert np.array_equal(state.scatter, before.scatter)
             for matrix in (np.eye(D), zero_rows, one_column):
                 t = whitening.WhiteningTransform(
                     mean=np.zeros(D), matrix=matrix, fit_count=2, eps=0.0

@@ -119,10 +119,14 @@ class TestBlockUpdate:
 class TestMerge:
     def test_empty_is_identity(self):
         s = feed([[1.0, 2.0], [3.0, 4.0]])
-        merged = streaming.merge(s, streaming.MomentState())
-        assert merged.count == s.count
-        assert np.array_equal(merged.mean, s.mean)
-        assert np.array_equal(merged.scatter, s.scatter)
+        for merged in (streaming.merge(s, streaming.MomentState()),
+                       streaming.merge(streaming.MomentState(), s)):
+            assert merged.count == s.count
+            assert np.array_equal(merged.mean, s.mean)
+            assert np.array_equal(merged.scatter, s.scatter)
+            assert merged.mean is not s.mean and merged.scatter is not s.scatter
+        both_empty = streaming.merge(streaming.MomentState(), streaming.MomentState())
+        assert both_empty.count == 0 and both_empty.dim is None
 
     def test_two_singletons(self):
         merged = streaming.merge(feed([[0.0, 0.0]]), feed([[2.0, 0.0]]))

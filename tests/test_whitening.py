@@ -117,6 +117,20 @@ class TestFit:
         with pytest.raises(errors.DimensionMismatch):
             whitening.fit(FOUR_POINTS, k=3)
 
+    @pytest.mark.parametrize("k", [0, -2, np.int64(0)], ids=["0", "-2", "int64-0"])
+    def test_k_below_one_is_dimension_mismatch(self, k):
+        """One check, in fit, fit_from_moments and truncate alike; above the rank stays RankDeficient."""
+        state = streaming.MomentState()
+        state.update(FOUR_POINTS)
+        full = whitening.fit(FOUR_POINTS, k="full")
+        for call in (lambda: whitening.fit(FOUR_POINTS, k=k),
+                     lambda: whitening.fit_from_moments(state, k=k),
+                     lambda: whitening.truncate(full, k)):
+            with pytest.raises(errors.DimensionMismatch, match=f"k must be >= 1, got {int(k)}"):
+                call()
+        with pytest.raises(errors.RankDeficient):
+            whitening.truncate(full, full.output_dim + 1)
+
     @pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_invalid_eps_rejected(self, eps):
         rank2 = np.random.default_rng(0).standard_normal((50, 2)) @ np.ones((2, 3))
