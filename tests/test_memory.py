@@ -5,7 +5,8 @@ Each command runs through ``cli.run`` on inputs of 16 blocks
 numpy's buffers. Streamed commands hold a few blocks plus O(N) scores,
 far below half of one input as float64; a command that loads an input
 whole exceeds that on its own. ``search`` must hold its float32 index,
-so its bound is the index plus 1.5 score tiles: one tile at a time.
+so its bound is the index plus 1.5 score buffers of SCORE_FLOATS: one
+buffer for every query tile and index chunk, whatever the index size.
 The library ``fit`` of a matrix folds it in blocks too, so it holds
 far less than its input beyond that input. A float32 file's blocks, and
 a float32 matrix's ``row_blocks`` slices, stay float32 until each
@@ -100,11 +101,13 @@ def test_float32_input_is_not_widened_ahead_of_use(inputs, command):
 def test_search_holds_index_and_one_score_tile(inputs):
     d = inputs
     index_bytes = N * D * 4
-    tile_bytes = N * retrieval.QUERY_TILE * 4
+    buffer_bytes = retrieval.SCORE_FLOATS * 4
+    # A whole-index tile would be larger than the bound on its own.
+    assert N * retrieval.QUERY_TILE * 4 > 1.5 * buffer_bytes
     argv = ["search", "--index", str(d / "left.emb1"), "--query", str(d / "query.emb1"),
             "--out", str(d / "hits.tsv")]
     peak = peak_bytes(cli, argv)
-    assert peak < index_bytes + 1.5 * tile_bytes
+    assert peak < index_bytes + 1.5 * buffer_bytes
 
 
 def test_library_sweep_k_of_float32_pairs_holds_blocks():
@@ -152,10 +155,12 @@ def test_top_k_batch_leaves_no_copy_of_the_index_resident():
 
     Scored as index x queries, two-threaded OpenBLAS 0.3.31 kept more than
     the index resident after the call (27.4 MB for a 20.5 MB index);
-    scored as queries x index it keeps 3.2 MB. The child pins two BLAS
-    threads, which OpenBLAS reads at start-up, because single-threaded
-    sgemm kept little in either layout.
+    scored as queries x index chunks it keeps 3.7 MB. The tile's queries
+    span three chunks of the index. The child pins two BLAS threads,
+    which OpenBLAS reads at start-up, because single-threaded sgemm kept
+    little in either layout.
     """
+    assert RSS_ROWS >= 2 * (retrieval.SCORE_FLOATS // retrieval.QUERY_TILE)
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS="2",

@@ -33,16 +33,57 @@ def whole_matrix_build_index(data):
 
 
 def batch_oracle(index, queries, k):
-    """Full sort of the same GEMM score blocks top_k_batch computes."""
+    """Full sort of the same query-tile x index-chunk GEMM products
+    top_k_batch computes."""
     q = np.asarray(queries, dtype=np.float64)
     unit = (q / np.sqrt(np.vecdot(q, q))[:, np.newaxis]).astype(np.float32)
+    tile_rows, classes = retrieval.QUERY_TILE, retrieval.SELECT_CLASSES
+    m = min(tile_rows, unit.shape[0])
+    rows = max(retrieval.SCORE_FLOATS // m // classes * classes, min(k, index.size), classes)
     out = []
-    for start in range(0, unit.shape[0], retrieval.QUERY_TILE):
-        block = np.clip(unit[start : start + retrieval.QUERY_TILE] @ index.vectors.T, -1.0, 1.0)
-        for row in block:
+    for start in range(0, unit.shape[0], tile_rows):
+        tile = unit[start : start + tile_rows]
+        block = np.concatenate(
+            [tile @ index.vectors[a : a + rows].T for a in range(0, index.size, rows)], axis=1
+        )
+        for row in np.clip(block, -1.0, 1.0):
             ranked = sorted(zip(index.ids.tolist(), row.tolist()), key=lambda p: (-p[1], p[0]))
             out.append([(int(i), float(s)) for i, s in ranked[:k]])
     return out
+
+
+def exact_rows(rng, n, d):
+    """Rows whose unit vectors have entries in {0, +-0.5, +-1}, scaled by powers of two.
+
+    Every norm, unit vector and cosine is then exact in float32, whatever
+    the summation order, so scores tie exactly and any product order gives
+    the same hits. A row is one +-1 entry, or (d >= 4) four +-0.5 entries.
+    """
+    rows = np.zeros((n, d))
+    for row in rows:
+        spots = rng.choice(d, 4 if d >= 4 and rng.random() < 0.5 else 1, replace=False)
+        row[spots] = rng.choice([-1.0, 1.0], spots.size) / np.sqrt(spots.size)
+        row *= 2.0 ** rng.integers(-3, 4)
+    return rows
+
+
+def exact_oracle(index, queries, k):
+    """Full sort of exact float64 cosines: needs exact_rows inputs."""
+    q = np.asarray(queries, dtype=np.float64)
+    unit = q / np.sqrt(np.vecdot(q, q))[:, np.newaxis]
+    out = []
+    for row in unit @ index.vectors.astype(np.float64).T:
+        ranked = sorted(zip(index.ids.tolist(), row.tolist()), key=lambda p: (-p[1], p[0]))
+        out.append(ranked[:k])
+    return out
+
+
+def small_constants(monkeypatch, tile, classes, floats):
+    """Shrink top_k_batch's tiles, classes and score buffer; return its chunk rows for k=1."""
+    monkeypatch.setattr(retrieval, "QUERY_TILE", tile)
+    monkeypatch.setattr(retrieval, "SELECT_CLASSES", classes)
+    monkeypatch.setattr(retrieval, "SCORE_FLOATS", floats)
+    return max(floats // tile // classes * classes, classes)
 
 
 def clustered_index(rng, n, d, zero_rows=5):
@@ -272,25 +313,100 @@ class TestTopKBatch:
         assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
 
     def test_tiles_share_one_score_buffer(self, monkeypatch):
-        """Each tile is scored into one buffer, bit-identical to a fresh product."""
+        """Every tile x chunk is scored into one buffer of at most SCORE_FLOATS,
+        bit-identical to a fresh `tile @ chunk.T`."""
+        rows = small_constants(monkeypatch, tile=8, classes=4, floats=96)
         rng = np.random.default_rng(3)
-        idx = retrieval.build_index(rng.standard_normal((500, 8)))
-        queries = rng.standard_normal((2 * retrieval.QUERY_TILE + 5, 8))
+        idx = retrieval.build_index(rng.standard_normal((50, 8)))
+        queries = rng.standard_normal((2 * 8 + 5, 8))
         seen = []
         real = retrieval._select
 
-        def select(scores, ids, k):
+        def select(scores, k, floor):
             seen.append((scores.base, scores.copy()))
-            return real(scores, ids, k)
+            return real(scores, k, floor)
 
         monkeypatch.setattr(retrieval, "_select", select)
         retrieval.top_k_batch(idx, queries, 3)
         unit = (queries / np.sqrt(np.vecdot(queries, queries))[:, np.newaxis]).astype(np.float32)
+        products = [
+            unit[t : t + 8] @ idx.vectors[c : c + rows].T
+            for t in range(0, 21, 8)
+            for c in range(0, 50, rows)
+        ]
         buffer = seen[0][0]
-        assert len(seen) == 3 and buffer is not None and all(b is buffer for b, _ in seen)
-        for i, (_, scores) in enumerate(seen):
-            tile = unit[i * retrieval.QUERY_TILE : (i + 1) * retrieval.QUERY_TILE]
-            assert np.array_equal(scores, tile @ idx.vectors.T)
+        assert rows == 12 and len(seen) == len(products) == 15
+        assert buffer is not None and buffer.size <= 96 and all(b is buffer for b, _ in seen)
+        for (_, scores), product in zip(seen, products):
+            assert np.array_equal(scores, product)
+
+    @pytest.mark.parametrize("tile, classes, floats", [(4, 2, 24), (3, 1, 7), (5, 4, 80), (1, 3, 5)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunks_exact_on_exact_scores(self, monkeypatch, tile, classes, floats, seed):
+        """Tie groups across chunk edges, dropped zero rows and every k, k >= n too.
+
+        Duplicate runs put equal scores on both sides of chunk edges, and
+        zero rows on and near the edges leave gaps in the ids; k runs from 1
+        to past the index size, through ks larger than one chunk's rows.
+        """
+        rows = small_constants(monkeypatch, tile, classes, floats)
+        rng = np.random.default_rng(seed)
+        n, d = 40, 5
+        data = exact_rows(rng, n, d)
+        for edge in range(rows, n, 3 * rows):  # a run of one row across every third edge
+            data[edge - 2 : edge + 2] = data[edge - 2]
+        data[[1, rows - 1, rows + 1, n - 2]] = 0.0
+        idx = retrieval.build_index(data)
+        assert idx.size > rows and np.diff(idx.ids).max() > 1
+        queries = np.concatenate([exact_rows(rng, 2 * tile + 1, d), data[idx.ids[:3]]])
+        for k in range(1, idx.size + 4):
+            assert retrieval.top_k_batch(idx, queries, k) == exact_oracle(idx, queries, k)
+
+    def test_k_larger_than_one_chunk_widens_the_chunk(self, monkeypatch):
+        """A chunk holds at least k rows, so the first chunk has k candidates."""
+        rows = small_constants(monkeypatch, tile=4, classes=2, floats=24)
+        rng = np.random.default_rng(9)
+        data = np.repeat(exact_rows(rng, 10, 4), 3, axis=0)
+        idx = retrieval.build_index(data)
+        queries = exact_rows(rng, 9, 4)
+        seen = []
+        real = retrieval._select
+
+        def select(scores, k, floor):
+            seen.append(scores.shape[1])
+            return real(scores, k, floor)
+
+        monkeypatch.setattr(retrieval, "_select", select)
+        for k in (rows + 1, 2 * rows + 3):
+            seen.clear()
+            assert retrieval.top_k_batch(idx, queries, k) == exact_oracle(idx, queries, k)
+            assert max(seen) == k
+
+    def test_chunked_matches_oracle_on_clustered_index(self, monkeypatch):
+        """Several chunks of the default SELECT_CLASSES rows, with near-ties."""
+        monkeypatch.setattr(retrieval, "SCORE_FLOATS", 70 * retrieval.SELECT_CLASSES)
+        rng = np.random.default_rng(21)
+        data = clustered_index(rng, 3000, 8, zero_rows=9)
+        idx = retrieval.build_index(data)
+        queries = np.concatenate([data[idx.ids[:40]], rng.standard_normal((30, 8))])
+        for k in (1, 10, 41, 1500):
+            assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+
+    def test_best_k_sorts_as_lexsort(self):
+        """Signed zeros and subnormal scores tie or order as floats compare."""
+        rng = np.random.default_rng(5)
+        m, k = 7, 240  # each row's k-th best is a zero
+        row = np.concatenate([np.repeat(np.arange(m), 40), rng.integers(0, m, 3000)])
+        vals = rng.choice([-1.0, -0.5, -0.0, -1e-40, 0.0, 1e-40, 0.25, 1.0], row.size)
+        vals = vals.astype(np.float32)
+        ids = rng.permutation(10**6)[: row.size]
+        order = np.lexsort((ids, -vals, row))
+        starts = np.searchsorted(row[order], np.arange(m))
+        keep = order[(starts[:, np.newaxis] + np.arange(k)).ravel()]
+        top_ids, top_vals = retrieval._best_k(row, ids, vals, m, k)
+        assert np.array_equal(top_ids.ravel(), ids[keep])
+        assert np.array_equal(top_vals.ravel(), vals[keep])
+        assert np.array_equal(np.signbit(top_vals.ravel()), np.signbit(vals[keep]))
 
     def test_ties_at_boundary_resolved_by_id(self):
         data = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 7, axis=0)
