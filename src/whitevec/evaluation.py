@@ -10,8 +10,8 @@ import numpy as np
 from . import whitening
 from .errors import DegenerateInput, DimensionMismatch, NonFinite, ZeroVector
 from .retrieval import row_norms
-from .streaming import MomentState, as_real, as_rows, fold
-from .whitening import FULL, WhiteningTransform, checked_blocks, require_k, row_blocks
+from .streaming import MomentState, as_real, as_rows, checked_blocks, fold, row_blocks
+from .whitening import FULL, WhiteningTransform, require_k
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .whitening import BLOCK_ROWS, WhiteningTransform, checked_blocks, require_int, row_blocks
+from .streaming import BLOCK_ROWS, checked_blocks, require_int, row_blocks
+from .whitening import WhiteningTransform
 
 MAGIC = b"EMB1"
 VERSION = 1

@@ -10,17 +10,20 @@ approximate-index artifacts.
 tile is scored against the index one chunk of rows at a time, as
 ``tile @ chunk.T`` into one reused float32 buffer of ``SCORE_FLOATS``
 (m queries x SCORE_FLOATS // m rows), so the buffer does not grow with
-the index. Scores are clipped to [-1, 1]. Each chunk yields every score
-at or above a threshold that never exceeds the query's final k-th best
-score: the first chunk's k-th largest residue-class maximum, then the
-query's running k-th best. Candidates are merged into the running top k
-by descending score, then ascending id, once they outnumber it and after
-the last chunk, so every tie at the k-th score is resolved as a full
-sort would. ``top_k`` is its one-row call; a one-row tile scores an
-index of up to SCORE_FLOATS rows in one chunk, a matrix-vector product,
-so a lone query costs one GEMV. A row of a larger batch can differ from
-the lone call only in the last float32 bit of a score (GEMM and GEMV
-round differently), so ids can differ only at near-ties.
+the index. Scores are clipped to [-1, 1]. The first chunk yields every
+score at or above its k-th largest residue-class maximum, which never
+exceeds the query's final k-th best score. A later chunk yields only the
+scores strictly above the query's running k-th best: its rows have
+larger ids than every row merged so far (``CosineIndex`` ids ascend), so
+a score equal to that floor can never displace one of them. Candidates
+are merged into the running top k by descending score, then ascending
+id, once they outnumber it and after the last chunk, so every tie at the
+k-th score is resolved as a full sort would. ``top_k`` is its one-row
+call; a one-row tile scores an index of up to SCORE_FLOATS rows in one
+chunk, a matrix-vector product, so a lone query costs one GEMV. A row
+of a larger batch can differ from the lone call only in the last float32
+bit of a score (GEMM and GEMV round differently), so ids can differ only
+at near-ties.
 """
 
 import time
@@ -29,9 +32,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, NonFinite, ZeroVector
-from .streaming import as_rows
-from .whitening import checked_blocks, require_int, row_blocks
+from .errors import DimensionMismatch, EmptyInput, InvalidParameter, NonFinite, ZeroVector
+from .streaming import as_rows, checked_blocks, require_int, row_blocks
 
 ZERO_NORM = 1e-30
 # Queries per tile. Scored queries x index rows, threaded OpenBLAS sgemm
@@ -51,11 +53,27 @@ MIN_REPETITIONS = 3
 
 @dataclass(frozen=True)
 class CosineIndex:
-    """Unit-normalized float32 vectors plus their original row ids."""
+    """Unit-normalized float32 vectors plus their original row ids.
+
+    ``ids`` must be integers, one per vector row (DimensionMismatch
+    otherwise), in strictly ascending order (InvalidParameter otherwise),
+    as ``build_index_blocks`` makes them: ``top_k_batch`` breaks ties by
+    id on that order.
+    """
 
     vectors: np.ndarray
     ids: np.ndarray
     norms_dropped: int
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids)
+        if ids.dtype.kind not in "iu":
+            raise InvalidParameter(f"ids hold {ids.dtype} values, not integers")
+        if ids.shape != np.shape(self.vectors)[:1]:
+            raise DimensionMismatch(f"ids have shape {ids.shape}, expected one per vector row")
+        if np.any(ids[1:] <= ids[:-1]):
+            raise InvalidParameter("ids must be strictly ascending")
+        object.__setattr__(self, "ids", ids)
 
     @property
     def size(self) -> int:
@@ -201,14 +219,16 @@ def _select(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates (row, column, clipped score) of an m x c score chunk.
 
-    Keeps every score at or above a per-row threshold that never exceeds
-    the row's k-th best score over the whole index. With ``floor`` None
-    (the first chunk, c >= k), column j belongs to residue class j % l,
-    l = min(c, max(k, SELECT_CLASSES)): at least k classes have a maximum
-    >= the k-th largest class maximum, so that value never exceeds the
-    chunk's k-th best score. Otherwise the threshold is ``floor``, each
-    row's running k-th best. Only the classes whose maximum reaches the
-    threshold are scanned; clipping keeps order.
+    With ``floor`` None (the first chunk, c >= k), keeps every score at
+    or above a per-row threshold that never exceeds the row's k-th best
+    score over the whole index: column j belongs to residue class j % l,
+    l = min(c, max(k, SELECT_CLASSES)), and at least k classes have a
+    maximum >= the k-th largest class maximum, so that value never
+    exceeds the chunk's k-th best score. Otherwise keeps only the scores
+    strictly above ``floor``, each row's running k-th best: a later
+    chunk's ids all exceed the merged ones, so a tie with the floor
+    loses. Only the classes whose maximum passes the threshold are
+    scanned; clipping keeps order.
     """
     m, n = scores.shape
     classes = min(n, max(k, SELECT_CLASSES))
@@ -220,15 +240,18 @@ def _select(
     if floor is None:
         kth = classes - k
         floor = np.partition(best, kth, axis=1)[:, kth].copy()  # frees the partitioned copy
+        keep = np.greater_equal
+    else:
+        keep = np.greater
 
     # flatnonzero and divmod: ~10x faster than a 2-D nonzero at 512 x 1024.
-    row, cls = np.divmod(np.flatnonzero(best >= floor[:, np.newaxis]), classes)
+    row, cls = np.divmod(np.flatnonzero(keep(best, floor[:, np.newaxis])), classes)
     col = cls[:, np.newaxis] + classes * np.arange(depth + 1)
     inside = col < n
     col = col[inside]
     row = np.broadcast_to(row[:, np.newaxis], inside.shape)[inside]
     vals = np.clip(scores[row, col], -1.0, 1.0)
-    hit = vals >= floor[row]
+    hit = keep(vals, floor[row])
     return row[hit], col[hit], vals[hit]
 
 

@@ -14,6 +14,10 @@ them in; ``merge`` folds in another state. A single vector is the
 one-row block, whose scatter is zero. Storing the unscaled sum keeps the
 combination free of catastrophic cancellation, and streaming, batch and
 merged results agree up to round-off.
+
+This module is also the one home of row input: ``as_real`` and
+``as_rows`` check values and shapes, ``row_blocks`` slices a matrix held
+in memory and ``checked_blocks`` counts a stream of blocks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,17 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, InvalidParameter, NonFinite
 
 REAL = (numbers.Real, np.bool_)  # numpy registers its floats and integers, not its bool
+# Rows per block wherever bulk rows are streamed: EMB1 decoding, index
+# building, pair scoring. A multiple of whitening.TILE_ROWS, so blocks
+# split into whole apply tiles.
+BLOCK_ROWS = 4096
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an int: InvalidParameter unless it is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_real(x, name: str) -> np.ndarray:
@@ -64,6 +79,41 @@ def as_rows(x, dim: int | None, name: str) -> np.ndarray:
         width = "rows" if dim is None else f"{dim} columns"
         raise DimensionMismatch(f"{name} has shape {x.shape}, expects {width} in a 2-D matrix")
     return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
+def row_blocks(data: np.ndarray):
+    """The rows of an N x d matrix as BLOCK_ROWS-row slices, each ``as_rows`` on its own.
+
+    A float32 matrix gives float32 views, as ``iter_emb1`` gives a float32
+    file's blocks; any other dtype gives float64 copies, one slice at a
+    time. The values (``as_real``) and the shape (DimensionMismatch) are
+    checked at the call. An empty matrix gives one empty slice, so a
+    consumer's width check still runs.
+    """
+    data = as_real(data, "data")
+    if data.ndim != 2:
+        raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
+    starts = range(0, max(data.shape[0], 1), BLOCK_ROWS)
+    return (as_rows(data[i : i + BLOCK_ROWS], None, "data") for i in starts)
+
+
+def checked_blocks(blocks, count: int, dim: int | None):
+    """Yield ``blocks`` as float (m, dim) matrices (``as_rows``) that hold exactly ``count`` rows.
+
+    ``dim=None`` takes the width of the first block. DimensionMismatch
+    for another shape, for a row past ``count`` as soon as it arrives,
+    and at the end for too few rows.
+    """
+    seen = 0
+    for block in blocks:
+        block = as_rows(block, dim, "block")
+        dim = block.shape[1]
+        seen += block.shape[0]
+        if seen > count:
+            raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
+        yield block
+    if seen != count:
+        raise DimensionMismatch(f"blocks hold {seen} rows, expected {count}")
 
 
 class MomentState:

@@ -20,7 +20,7 @@ from .errors import (
     NonFinite,
     RankDeficient,
 )
-from .streaming import MomentState, as_real, as_rows, finalize, fold
+from .streaming import MomentState, as_real, as_rows, finalize, fold, require_int, row_blocks
 
 # Default rank tolerance is EPS_SCALE * trace(cov) / d, so it is unit-free.
 EPS_SCALE = 1e-12
@@ -28,11 +28,8 @@ EPS_SCALE = 1e-12
 FULL = "full"
 
 # Rows per BLAS call in apply_batch; a fixed shape keeps rows bit-exact.
+# streaming.BLOCK_ROWS is a multiple of it, so blocks split into whole tiles.
 TILE_ROWS = 256
-# Rows per block wherever bulk rows are streamed: EMB1 decoding, index
-# building, pair scoring. A multiple of TILE_ROWS, so blocks split into
-# whole apply tiles.
-BLOCK_ROWS = 16 * TILE_ROWS
 
 
 @dataclass(frozen=True)
@@ -85,41 +82,6 @@ class WhiteningTransform:
         return self.matrix.shape[1]
 
 
-def row_blocks(data: np.ndarray):
-    """The rows of an N x d matrix as BLOCK_ROWS-row slices, each ``as_rows`` on its own.
-
-    A float32 matrix gives float32 views, as ``iter_emb1`` gives a float32
-    file's blocks; any other dtype gives float64 copies, one slice at a
-    time. The values (``as_real``) and the shape (DimensionMismatch) are
-    checked at the call. An empty matrix gives one empty slice, so a
-    consumer's width check still runs.
-    """
-    data = as_real(data, "data")
-    if data.ndim != 2:
-        raise DimensionMismatch(f"expected an N x d matrix, got shape {data.shape}")
-    starts = range(0, max(data.shape[0], 1), BLOCK_ROWS)
-    return (as_rows(data[i : i + BLOCK_ROWS], None, "data") for i in starts)
-
-
-def checked_blocks(blocks, count: int, dim: int | None):
-    """Yield ``blocks`` as float (m, dim) matrices (``as_rows``) that hold exactly ``count`` rows.
-
-    ``dim=None`` takes the width of the first block. DimensionMismatch
-    for another shape, for a row past ``count`` as soon as it arrives,
-    and at the end for too few rows.
-    """
-    seen = 0
-    for block in blocks:
-        block = as_rows(block, dim, "block")
-        dim = block.shape[1]
-        seen += block.shape[0]
-        if seen > count:
-            raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
-        yield block
-    if seen != count:
-        raise DimensionMismatch(f"blocks hold {seen} rows, expected {count}")
-
-
 def default_eps(cov: np.ndarray) -> float:
     """EPS_SCALE * trace(cov) / d, finite whenever ``cov`` is.
 
@@ -143,13 +105,6 @@ def valid_eps(eps) -> bool:
         return math.isfinite(eps) and eps >= 0
     except OverflowError:
         return False
-
-
-def require_int(value, name: str) -> int:
-    """``value`` as an int: InvalidParameter unless it is an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def require_k(k) -> int:

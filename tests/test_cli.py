@@ -406,7 +406,7 @@ def test_fit_multi_block_file_matches_library(tmp_path):
 def test_fit_is_library_fit_bit_for_bit(tmp_path):
     """Three full blocks and a ragged tail: the library folds the rows as the CLI does."""
     rng = np.random.default_rng(12)
-    n = 3 * whitening.BLOCK_ROWS + 17
+    n = 3 * streaming.BLOCK_ROWS + 17
     data = rng.standard_normal((n, 48)) @ rng.standard_normal((48, 48)) + 3.0
     fileio.write_emb1(tmp_path / "big.emb1", data)
     wpath = tmp_path / "w.json"
@@ -598,7 +598,7 @@ def test_transform_zero_rows_of_wrong_dim(workdir, fitted, capsys):
 
 def test_transform_nan_in_late_block_keeps_old_output(workdir, fitted, capsys):
     src, out = workdir / "in.emb1", workdir / "out.emb1"
-    fileio.write_emb1(src, np.ones((3 * whitening.BLOCK_ROWS + 5, 4)))
+    fileio.write_emb1(src, np.ones((3 * streaming.BLOCK_ROWS + 5, 4)))
     raw = bytearray(src.read_bytes())
     raw[-8:] = np.array([np.nan]).tobytes()
     src.write_bytes(bytes(raw))
@@ -615,12 +615,12 @@ def test_transform_nan_in_late_block_keeps_old_output(workdir, fitted, capsys):
 def test_search_streams_index(workdir, fitted, monkeypatch, capsys, with_transform):
     """A multi-block index with zero rows on both sides of a block edge."""
     rng = np.random.default_rng(8)
-    base = rng.standard_normal((whitening.BLOCK_ROWS + 50, 4)) @ rng.standard_normal((4, 4)) + 3.0
+    base = rng.standard_normal((streaming.BLOCK_ROWS + 50, 4)) @ rng.standard_normal((4, 4)) + 3.0
     if with_transform:
         t = fileio.load_transform(fitted)
-        base[whitening.BLOCK_ROWS - 1 : whitening.BLOCK_ROWS + 1] = t.mean  # whitened to zero
+        base[streaming.BLOCK_ROWS - 1 : streaming.BLOCK_ROWS + 1] = t.mean  # whitened to zero
     else:
-        base[whitening.BLOCK_ROWS - 1 : whitening.BLOCK_ROWS + 1] = 0.0
+        base[streaming.BLOCK_ROWS - 1 : streaming.BLOCK_ROWS + 1] = 0.0
     queries = rng.standard_normal((30, 4)) + 3.0
     fileio.write_emb1(workdir / "base.emb1", base)
     fileio.write_emb1(workdir / "q.emb1", queries)
@@ -646,7 +646,7 @@ def test_search_streams_index(workdir, fitted, monkeypatch, capsys, with_transfo
 def test_search_queries_span_blocks(workdir, fitted, monkeypatch, capsys, with_transform):
     """float32 queries over more than one block are streamed, whitened like `transform` input."""
     rng = np.random.default_rng(9)
-    queries = rng.standard_normal((whitening.BLOCK_ROWS + 37, 4)) + 3.0
+    queries = rng.standard_normal((streaming.BLOCK_ROWS + 37, 4)) + 3.0
     fileio.write_emb1(workdir / "q.emb1", queries, dtype="float32")
     argv = ["search", "--index", str(workdir / "data.emb1"),
             "--query", str(workdir / "q.emb1"), "--top", "3"]
@@ -722,7 +722,7 @@ def refuse_payload_reads(monkeypatch):
 
 
 EVAL_COMMANDS = [["eval"], ["eval", "--k", "2"], ["sweep", "--ks", "1,full"]]
-N_PAIRS = whitening.BLOCK_ROWS + 10
+N_PAIRS = streaming.BLOCK_ROWS + 10
 
 
 @pytest.mark.parametrize("command", EVAL_COMMANDS)

@@ -249,7 +249,7 @@ class TestSweep:
     def test_fit_corpus_blocks_match_stacked_pairs(self):
         """Both sides folded in blocks give the moments and rho of one 2N x d stack."""
         rng = np.random.default_rng(12)
-        n = whitening.BLOCK_ROWS + 100
+        n = streaming.BLOCK_ROWS + 100
         data = self.make_anisotropic(rng, n=n)
         stacked = np.vstack([data.left, data.right])
         state = evaluation.fit_corpus(data)
@@ -263,7 +263,7 @@ class TestSweep:
 
     def test_blocked_scoring_equals_whole_arrays(self):
         rng = np.random.default_rng(13)
-        data = self.make_anisotropic(rng, n=2 * whitening.BLOCK_ROWS + 3)
+        data = self.make_anisotropic(rng, n=2 * streaming.BLOCK_ROWS + 3)
         t = whitening.fit_from_moments(evaluation.fit_corpus(data), k=2)
         pre = PairedDataset(
             left=whitening.apply_batch(t, data.left),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitevec import errors, fileio, whitening
+from whitevec import errors, fileio, streaming, whitening
 from whitevec.cli import run
 
 
@@ -503,7 +503,7 @@ class TestBlockWriter:
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_iter_emb1_blocks_are_read_only(tmp_path, dtype):
     path = tmp_path / "m.emb1"
-    fileio.write_emb1(path, np.arange(3.0 * whitening.BLOCK_ROWS + 6).reshape(-1, 2), dtype=dtype)
+    fileio.write_emb1(path, np.arange(3.0 * streaming.BLOCK_ROWS + 6).reshape(-1, 2), dtype=dtype)
     blocks = list(fileio.iter_emb1(path))
     assert len(blocks) == 2
     for block in blocks:

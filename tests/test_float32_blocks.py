@@ -13,7 +13,7 @@ from whitevec import errors, evaluation, fileio, retrieval, streaming, whitening
 from whitevec.evaluation import _pair_cosines
 
 D = 24
-N = 3 * whitening.BLOCK_ROWS + 37  # several blocks plus a ragged tail
+N = 3 * streaming.BLOCK_ROWS + 37  # several blocks plus a ragged tail
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ BLAS keeps its buffers outside tracemalloc's view, so one test reads the
 resident size that a ``top_k_batch`` call leaves behind in a child process.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -27,10 +28,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whitevec import evaluation, fileio, retrieval, whitening
+from whitevec import evaluation, fileio, retrieval, streaming, whitening
 from whitevec.cli import run
 
-N, D = 16 * whitening.BLOCK_ROWS, 64
+N, D = 16 * streaming.BLOCK_ROWS, 64
 INPUT_BYTES = N * D * 8  # one input as float64
 
 
@@ -40,8 +41,8 @@ def inputs(tmp_path_factory):
 
     def blocks(seed):
         rng = np.random.default_rng(seed)
-        for start in range(0, N, whitening.BLOCK_ROWS):
-            yield rng.standard_normal((min(whitening.BLOCK_ROWS, N - start), D)) + 1.0
+        for start in range(0, N, streaming.BLOCK_ROWS):
+            yield rng.standard_normal((min(streaming.BLOCK_ROWS, N - start), D)) + 1.0
 
     fileio.write_emb1_blocks(d / "left.emb1", blocks(1), N, D)
     fileio.write_emb1_blocks(d / "right.emb1", blocks(2), N, D)
@@ -94,7 +95,7 @@ def test_float32_input_is_not_widened_ahead_of_use(inputs, command):
         "library_fit": (whitening.fit, x, 16),
         "library_write_emb1": (fileio.write_emb1, d / "x32.emb1", x, "float32"),
     }[command]
-    two_float64_blocks = whitening.BLOCK_ROWS * D * 16
+    two_float64_blocks = streaming.BLOCK_ROWS * D * 16
     assert peak_bytes(call, *args) < two_float64_blocks
 
 
@@ -129,7 +130,17 @@ def test_library_fit_holds_blocks_not_a_centred_copy():
 RSS_ROWS, RSS_DIM = 20_000, 256
 
 
+def find_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return None
+
+
 def resident_bytes() -> int:
+    """VmRSS after ``malloc_trim(0)``, so freed heap that glibc kept is not counted."""
+    find_malloc_trim()(0)
     with open("/proc/self/status") as f:
         kb = next(line.split()[1] for line in f if line.startswith("VmRSS:"))
     return int(kb) * 1024
@@ -139,8 +150,8 @@ def print_rss_kept_by_top_k_batch() -> None:
     """Print how much resident memory one tile of top_k_batch leaves behind."""
     rng = np.random.default_rng(7)
     blocks = (
-        rng.standard_normal((min(whitening.BLOCK_ROWS, RSS_ROWS - start), RSS_DIM), dtype=np.float32)
-        for start in range(0, RSS_ROWS, whitening.BLOCK_ROWS)
+        rng.standard_normal((min(streaming.BLOCK_ROWS, RSS_ROWS - start), RSS_DIM), dtype=np.float32)
+        for start in range(0, RSS_ROWS, streaming.BLOCK_ROWS)
     )
     index = retrieval.build_index_blocks(blocks, RSS_ROWS, RSS_DIM)
     queries = rng.standard_normal((retrieval.QUERY_TILE, RSS_DIM), dtype=np.float32)
@@ -150,15 +161,19 @@ def print_rss_kept_by_top_k_batch() -> None:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.skipif(find_malloc_trim() is None, reason="needs glibc malloc_trim")
 def test_top_k_batch_leaves_no_copy_of_the_index_resident():
     """Scoring a tile must not leave BLAS packing buffers the size of the index.
 
     Scored as index x queries, two-threaded OpenBLAS 0.3.31 kept more than
-    the index resident after the call (27.4 MB for a 20.5 MB index);
+    the index resident after the call (21.4 MB for a 20.5 MB index);
     scored as queries x index chunks it keeps 3.7 MB. The tile's queries
     span three chunks of the index. The child pins two BLAS threads,
     which OpenBLAS reads at start-up, because single-threaded sgemm kept
-    little in either layout.
+    little in either layout. Each read of the resident size follows a
+    ``malloc_trim(0)``: without it, freed heap that glibc kept in its
+    main arena counted too, 3.6 or 9.4 MB for the same loop depending on
+    what else sat on the heap.
     """
     assert RSS_ROWS >= 2 * (retrieval.SCORE_FLOATS // retrieval.QUERY_TILE)
     env = dict(

@@ -8,7 +8,7 @@ same error type, as the batch or block call they stand for.
 import numpy as np
 import pytest
 
-from whitevec import errors, fileio, retrieval, whitening
+from whitevec import errors, fileio, retrieval, streaming, whitening
 
 D = 4
 rng = np.random.default_rng(31)
@@ -35,7 +35,7 @@ def written(x, path):
 
 
 def written_as_blocks(x, path):
-    fileio.write_emb1_blocks(path, whitening.row_blocks(x), *np.shape(x))
+    fileio.write_emb1_blocks(path, streaming.row_blocks(x), *np.shape(x))
     return path.read_bytes()
 
 

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from whitevec import errors, retrieval, whitening
+from whitevec import errors, retrieval, streaming
 
 
 def gemv_top_k(index, query, k_results):
@@ -152,6 +152,20 @@ class TestBuildIndex:
         norms = np.linalg.norm(idx.vectors.astype(np.float64), axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-6
 
+    @pytest.mark.parametrize("ids, error", [
+        ([0, 2, 1], errors.InvalidParameter),
+        ([0, 1, 1], errors.InvalidParameter),
+        ([0.0, 1.0, 2.0], errors.InvalidParameter),
+        ([0, 1], errors.DimensionMismatch),
+        ([[0, 1, 2]], errors.DimensionMismatch),
+    ])
+    def test_ids_are_ascending_integers_one_per_row(self, ids, error):
+        vectors = retrieval.build_index(np.eye(3)).vectors
+        with pytest.raises(error):
+            retrieval.CosineIndex(vectors=vectors, ids=np.array(ids), norms_dropped=0)
+        gaps = retrieval.CosineIndex(vectors=vectors, ids=np.array([0, 4, 9]), norms_dropped=0)
+        assert retrieval.top_k(gaps, np.array([0.0, 1.0, 0.0]), 2) == [(4, 1.0), (0, 0.0)]
+
     def test_empty_rejected(self):
         with pytest.raises(errors.EmptyInput):
             retrieval.build_index(np.empty((0, 4)))
@@ -161,7 +175,7 @@ class TestBuildIndex:
         with pytest.raises(errors.DimensionMismatch):
             retrieval.build_index(np.ones((3, 0)))
 
-    @pytest.mark.parametrize("n", [1, whitening.BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("n", [1, streaming.BLOCK_ROWS + 7])
     def test_chunked_matches_whole_matrix_bit_exact(self, n):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((n, 24)) * rng.uniform(1e-3, 1e3, (n, 1))
@@ -221,7 +235,7 @@ class TestBuildIndex:
             retrieval.build_index(data)
 
     def test_nonfinite_in_late_chunk_rejected(self):
-        data = np.ones((whitening.BLOCK_ROWS + 3, 4))
+        data = np.ones((streaming.BLOCK_ROWS + 3, 4))
         data[-1, 2] = np.inf
         with pytest.raises(errors.NonFinite):
             retrieval.build_index(data)
@@ -391,6 +405,30 @@ class TestTopKBatch:
         queries = np.concatenate([data[idx.ids[:40]], rng.standard_normal((30, 8))])
         for k in (1, 10, 41, 1500):
             assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+
+    def test_later_chunks_keep_no_ties_with_the_running_floor(self, monkeypatch):
+        """Identical rows: every chunk after the first ties its whole block
+        with the running k-th best, whose ids are smaller, so it yields no
+        candidate; the first chunk of each tile keeps its ties."""
+        rows = small_constants(monkeypatch, tile=4, classes=4, floats=32)
+        data = np.tile([1.0, 0.0, 0.0], (5 * rows + 3, 1))  # every score is exactly q[0]
+        idx = retrieval.build_index(data)
+        queries = np.random.default_rng(4).standard_normal((6, 3))
+        queries[:, 0] = np.abs(queries[:, 0]) + 0.1
+        seen = []
+        real = retrieval._select
+
+        def select(scores, k, floor):
+            out = real(scores, k, floor)
+            seen.append((floor is None, out[0].size))
+            return out
+
+        monkeypatch.setattr(retrieval, "_select", select)
+        hits = retrieval.top_k_batch(idx, queries, 3)
+        assert rows == 8 and len(seen) == 2 * 6  # two tiles of six chunks each
+        assert all(first and count >= 3 * 4 for first, count in seen[::6])
+        assert all(not first and count == 0 for i, (first, count) in enumerate(seen) if i % 6)
+        assert [[i for i, _ in h] for h in hits] == [[0, 1, 2]] * 6
 
     def test_best_k_sorts_as_lexsort(self):
         """Signed zeros and subnormal scores tie or order as floats compare."""

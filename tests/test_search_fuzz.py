@@ -7,8 +7,10 @@ no summation order can move a hit. Indexes have duplicate and zero rows
 (possibly every row, or none at all); queries may repeat index rows or
 have zero norm. ``top_k_batch``'s QUERY_TILE, SELECT_CLASSES and
 SCORE_FLOATS are drawn small, so the queries span several tiles and the
-index several chunks. ``--top`` is 1, the index size, the index size + 3
-or any value up to that, 0 included.
+index several chunks; runs of one row longer than a chunk tie across
+chunk edges with the running k-th best. ``--top`` is 1, the index size,
+the index size + 3 or any value up to that, 0 included, or a value from
+SELECT_CLASSES - 1 to 2 * SELECT_CLASSES + 1.
 
 Each case must either exit 0 with the output of a full sort of exact
 cosines (ties by ascending id), or exit 1 with one typed
@@ -42,7 +44,25 @@ def search_cases(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     index = exact_rows(rng, n, d)
     queries = exact_rows(rng, nq, d)
+    constants = {
+        "QUERY_TILE": draw(st.integers(min_value=1, max_value=5)),
+        "SELECT_CLASSES": draw(st.integers(min_value=1, max_value=4)),
+        "SCORE_FLOATS": draw(st.integers(min_value=1, max_value=40)),
+    }
+    classes = constants["SELECT_CLASSES"]
+    top = draw(st.one_of(
+        st.sampled_from([1, n, n + 3]),
+        st.integers(min_value=0, max_value=n + 3),
+        st.integers(min_value=classes - 1, max_value=2 * classes + 1),
+    ))
     if n:
+        # Runs of one row longer than top_k_batch's chunks (at most
+        # ``rows`` index rows), so each crosses at least one chunk edge.
+        tile = min(constants["QUERY_TILE"], max(nq, 1))
+        rows = max(constants["SCORE_FLOATS"] // tile // classes * classes, top, classes)
+        for start in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+            length = draw(st.integers(min_value=rows + 1, max_value=3 * rows + 1))
+            index[start : start + length] = index[start]
         row = st.integers(min_value=0, max_value=n - 1)
         for i, j in draw(st.lists(st.tuples(row, row), max_size=8)):
             index[i] = index[j]
@@ -52,12 +72,6 @@ def search_cases(draw):
                 queries[q] = index[i]
     if nq and draw(st.booleans()):
         queries[draw(st.integers(min_value=0, max_value=nq - 1))] = 0.0
-    top = draw(st.one_of(st.sampled_from([1, n, n + 3]), st.integers(min_value=0, max_value=n + 3)))
-    constants = {
-        "QUERY_TILE": draw(st.integers(min_value=1, max_value=5)),
-        "SELECT_CLASSES": draw(st.integers(min_value=1, max_value=4)),
-        "SCORE_FLOATS": draw(st.integers(min_value=1, max_value=40)),
-    }
     dtypes = [draw(st.sampled_from(["float32", "float64"])) for _ in range(2)]
     return index, queries, top, constants, dtypes
 
@@ -94,6 +108,8 @@ def run_cli(argv) -> tuple[int, str]:
                {"QUERY_TILE": 2, "SELECT_CLASSES": 2, "SCORE_FLOATS": 8}, ["float64", "float64"]))
 @example(case=(np.zeros((4, 2)), np.ones((3, 2)), 4,
                {"QUERY_TILE": 2, "SELECT_CLASSES": 2, "SCORE_FLOATS": 8}, ["float32", "float32"]))
+@example(case=(np.repeat(np.eye(3), [2, 25, 3], axis=0), np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+               5, {"QUERY_TILE": 2, "SELECT_CLASSES": 4, "SCORE_FLOATS": 8}, ["float32", "float64"]))
 def test_search_matches_full_sort_or_fails_typed(tmp_path_factory, case):
     index, queries, top, constants, (index_dtype, query_dtype) = case
     work = tmp_path_factory.mktemp("search")

@@ -1,0 +1,67 @@
+"""Module structure: row input has one home, and search needs no transform.
+
+``streaming`` is a leaf that owns every rule for row input; ``whitening``
+is the transform alone; ``retrieval`` scores rows without fitting them.
+"""
+
+import ast
+from pathlib import Path
+
+from whitevec import streaming, whitening
+
+SRC = Path(streaming.__file__).parent
+ROW_INPUT = {"as_real", "as_rows", "require_int", "BLOCK_ROWS", "row_blocks", "checked_blocks"}
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def whitevec_imports(module: str) -> set[str]:
+    """The whitevec modules that ``module`` imports, in any import form."""
+    found = set()
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "whitevec":
+                continue
+            parts = parts[1:] if node.level == 0 else parts
+            found.update([parts[0]] if parts and parts[0] else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[2] or a.name for a in node.names
+                         if a.name.split(".")[0] == "whitevec")
+    return found
+
+
+def defined_names(module: str) -> set[str]:
+    """Names that ``module`` binds at top level by def, class or assignment."""
+    names = set()
+    for node in parse(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_import_scanner_sees_every_form():
+    assert whitevec_imports("whitening") == {"errors", "linalg", "streaming"}
+    assert whitevec_imports("cli") >= {"evaluation", "fileio", "retrieval", "whitening"}
+
+
+def test_streaming_imports_only_errors():
+    assert whitevec_imports("streaming") == {"errors"}
+
+
+def test_retrieval_imports_neither_whitening_nor_linalg():
+    assert not whitevec_imports("retrieval") & {"whitening", "linalg"}
+
+
+def test_row_input_is_defined_in_streaming_alone():
+    assert ROW_INPUT <= defined_names("streaming")
+    for module in ("whitening", "fileio", "retrieval", "evaluation", "cli"):
+        assert not ROW_INPUT & defined_names(module), module
+
+
+def test_blocks_split_into_whole_apply_tiles():
+    assert streaming.BLOCK_ROWS % whitening.TILE_ROWS == 0

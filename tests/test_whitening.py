@@ -432,28 +432,28 @@ def test_pca_equivalence_unit_variance_per_column():
 
 class TestRowBlocks:
     def test_slices_cover_the_rows_in_order(self):
-        x = np.arange(2 * whitening.BLOCK_ROWS + 6, dtype=np.float32).reshape(-1, 2)
-        blocks = list(whitening.row_blocks(x))
-        assert [b.shape[0] for b in blocks] == [whitening.BLOCK_ROWS, 3]
+        x = np.arange(2 * streaming.BLOCK_ROWS + 6, dtype=np.float32).reshape(-1, 2)
+        blocks = list(streaming.row_blocks(x))
+        assert [b.shape[0] for b in blocks] == [streaming.BLOCK_ROWS, 3]
         assert all(b.dtype == np.float32 for b in blocks)
         assert np.array_equal(np.concatenate(blocks), x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16, np.int64, np.int8])
     def test_float32_kept_other_dtypes_widened_to_float64(self, dtype):
         x = np.arange(12).reshape(6, 2).astype(dtype)
-        (block,) = whitening.row_blocks(x)
+        (block,) = streaming.row_blocks(x)
         assert block.dtype == (np.float32 if dtype == np.float32 else np.float64)
         assert np.shares_memory(block, x) == (dtype in (np.float32, np.float64))
         assert np.array_equal(block, x)
 
     def test_empty_matrix_gives_one_empty_slice(self):
-        (block,) = whitening.row_blocks(np.empty((0, 5)))
+        (block,) = streaming.row_blocks(np.empty((0, 5)))
         assert block.shape == (0, 5)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
     def test_shape_checked_at_the_call(self, shape):
         with pytest.raises(errors.DimensionMismatch):
-            whitening.row_blocks(np.ones(shape))
+            streaming.row_blocks(np.ones(shape))
 
 
 class TestFitFromMoments:
