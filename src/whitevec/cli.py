@@ -54,11 +54,12 @@ def _eps_arg(value: str) -> float:
     return eps
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(texts, out_path) -> None:
+    """The one text writer: the strs ``texts``, to ``out_path`` atomically or to stdout."""
     if out_path:
-        fileio.write_atomic(out_path, [text.encode("utf-8")])
+        fileio.write_atomic(out_path, (text.encode("utf-8") for text in texts))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _emb1_blocks(path, t: whitening.WhiteningTransform | None, dim: int | None):
@@ -136,13 +137,11 @@ def cmd_eval(args) -> int:
             "k": report.dim_used,
             "spearman_rho_x100": round(report.rho_x100, 5),
         }
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
+        line = json.dumps(doc, sort_keys=True) + "\n"
     else:
-        _emit(
-            f"{args.dataset}\t{report.n_pairs}\t{report.skipped}\t"
-            f"{report.dim_used}\t{report.rho_x100:.5f}\n",
-            args.out,
-        )
+        line = (f"{args.dataset}\t{report.n_pairs}\t{report.skipped}\t"
+                f"{report.dim_used}\t{report.rho_x100:.5f}\n")
+    _emit([line], args.out)
     return 0
 
 
@@ -156,9 +155,8 @@ def cmd_sweep(args) -> int:
     for k in args.ks:
         if k != FULL and k not in done:
             print(f"RankDeficient: skipping k={k} (above numerical rank)", file=sys.stderr)
-    lines = ["k\trho\n"]
-    lines += [f"{t.output_dim}\t{r.spearman_rho:.6f}\n" for t, r in zip(transforms, reports)]
-    _emit("".join(lines), args.out)
+    rows = [f"{t.output_dim}\t{r.spearman_rho:.6f}\n" for t, r in zip(transforms, reports)]
+    _emit(["k\trho\n", *rows], args.out)
     return 0
 
 
@@ -175,13 +173,12 @@ def cmd_stats(args) -> int:
         trace = np.trace(cov)
     if not (np.isfinite(mean_norm) and np.isfinite(trace)):
         raise NonFinite("the mean's norm or the covariance trace overflows float64")
-    lines = [
+    _emit([
         f"n\t{state.count}\n",
         f"mean_norm\t{mean_norm:.12g}\n",
         f"trace\t{trace:.12g}\n",
         "top_eigenvalues\t" + " ".join(f"{v:.12g}" for v in top) + "\n",
-    ]
-    _emit("".join(lines), args.out)
+    ], args.out)
     return 0
 
 
@@ -200,18 +197,22 @@ def _load_index_and_queries(args):
 
 def cmd_search(args) -> int:
     index, queries = _load_index_and_queries(args)
-    lines = []
-    for row, hits in enumerate(retrieval.top_k_batch(index, queries, args.top)):
-        for rank, (vec_id, score) in enumerate(hits, start=1):
-            lines.append(f"{row}\t{rank}\t{vec_id}\t{score:.6f}\n")
-    _emit("".join(lines), args.out)
+    ids, scores = retrieval.top_k_batch(index, queries, args.top)
+    rows = (
+        "".join(
+            f"{row}\t{rank}\t{vec_id}\t{score:.6f}\n"
+            for rank, (vec_id, score) in enumerate(zip(ids[row].tolist(), scores[row].tolist()), 1)
+        )
+        for row in range(ids.shape[0])
+    )
+    _emit(rows, args.out)
     return 0
 
 
 def cmd_bench(args) -> int:
     index, queries = _load_index_and_queries(args)
     report = retrieval.benchmark(index, queries, args.top, repetitions=args.reps)
-    _emit(json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n", args.out)
+    _emit([json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"], args.out)
     return 0
 
 

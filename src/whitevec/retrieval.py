@@ -18,7 +18,8 @@ larger ids than every row merged so far (``CosineIndex`` ids ascend), so
 a score equal to that floor can never displace one of them. Candidates
 are merged into the running top k by descending score, then ascending
 id, once they outnumber it and after the last chunk, so every tie at the
-k-th score is resolved as a full sort would. ``top_k`` is its one-row
+k-th score is resolved as a full sort would, and written straight into
+the answer: m x k int64 ids and float32 scores. ``top_k`` is its one-row
 call; a one-row tile scores an index of up to SCORE_FLOATS rows in one
 chunk, a matrix-vector product, so a lone query costs one GEMV. A row
 of a larger batch can differ from the lone call only in the last float32
@@ -55,10 +56,12 @@ MIN_REPETITIONS = 3
 class CosineIndex:
     """Unit-normalized float32 vectors plus their original row ids.
 
-    ``ids`` must be integers, one per vector row (DimensionMismatch
-    otherwise), in strictly ascending order (InvalidParameter otherwise),
-    as ``build_index_blocks`` makes them: ``top_k_batch`` breaks ties by
-    id on that order.
+    ``vectors`` must be a 2-D (DimensionMismatch otherwise) float32
+    (InvalidParameter otherwise) matrix of unit rows; their norms are not
+    checked, and scores are clipped to [-1, 1]. ``ids`` must be integers,
+    one per vector row (DimensionMismatch otherwise), in strictly
+    ascending order (InvalidParameter otherwise). ``build_index_blocks``
+    makes both so; ``top_k_batch`` breaks ties by id on that order.
     """
 
     vectors: np.ndarray
@@ -66,13 +69,19 @@ class CosineIndex:
     norms_dropped: int
 
     def __post_init__(self):
+        vectors = np.asarray(self.vectors)
+        if vectors.ndim != 2:
+            raise DimensionMismatch(f"vectors have shape {vectors.shape}, expected 2-D")
+        if vectors.dtype != np.float32:
+            raise InvalidParameter(f"vectors hold {vectors.dtype} values, not float32")
         ids = np.asarray(self.ids)
         if ids.dtype.kind not in "iu":
             raise InvalidParameter(f"ids hold {ids.dtype} values, not integers")
-        if ids.shape != np.shape(self.vectors)[:1]:
+        if ids.shape != vectors.shape[:1]:
             raise DimensionMismatch(f"ids have shape {ids.shape}, expected one per vector row")
         if np.any(ids[1:] <= ids[:-1]):
             raise InvalidParameter("ids must be strictly ascending")
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "ids", ids)
 
     @property
@@ -155,25 +164,27 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
     return CosineIndex(vectors=vectors[:kept], ids=ids[:kept], norms_dropped=count - kept)
 
 
-def top_k(index: CosineIndex, query: np.ndarray, k_results: int) -> list[tuple[int, float]]:
+def top_k(index: CosineIndex, query: np.ndarray, k_results: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine, ties broken by ascending id.
 
-    Returns at most ``k_results`` (id, score) pairs, fewer if the index is
-    smaller. This is the one-row call of ``top_k_batch``, which checks it.
+    Returns ``(ids, scores)``, row 0 of the one-row call of
+    ``top_k_batch``, which checks it.
     """
-    return top_k_batch(index, np.asarray(query)[np.newaxis], k_results)[0]
+    ids, scores = top_k_batch(index, np.asarray(query)[np.newaxis], k_results)
+    return ids[0], scores[0]
 
 
 def top_k_batch(
     index: CosineIndex, queries: np.ndarray, k_results: int
-) -> list[list[tuple[int, float]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine for every row of an m x d query matrix.
 
-    Returns one list per query, as ``top_k`` would. Raises
-    DimensionMismatch for a wrong shape or ``k_results < 1``, NonFinite
-    for NaN/Inf or a norm beyond float64, ZeroVector for a zero-norm
-    query and InvalidParameter for a ``k_results`` that is not an
-    integer, before any scoring.
+    Returns ``(ids, scores)``, int64 and float32 m x k arrays, k =
+    ``min(k_results, index.size)``: query i's hits in row i, by descending
+    score, then ascending id. Raises DimensionMismatch for a wrong shape
+    or ``k_results < 1``, NonFinite for NaN/Inf or a norm beyond float64,
+    ZeroVector for a zero-norm query and InvalidParameter for a
+    ``k_results`` that is not an integer, before any scoring.
     """
     queries = as_rows(queries, index.dim, "queries")
     qnorms, nonzero = row_norms(queries)
@@ -185,14 +196,15 @@ def top_k_batch(
         raise DimensionMismatch(f"k_results must be >= 1, got {k_results}")
     unit = (queries / qnorms[:, np.newaxis]).astype(np.float32)
     k = min(k_results, index.size)
-    if k == 0 or unit.shape[0] == 0:  # k == 0: every indexed row had zero norm
-        return [[] for _ in range(unit.shape[0])]
+    hit_ids = np.empty((unit.shape[0], k), dtype=np.int64)
+    hit_scores = np.empty((unit.shape[0], k), dtype=np.float32)
+    if hit_ids.size == 0:  # no queries, or every indexed row had zero norm
+        return hit_ids, hit_scores
     m = min(QUERY_TILE, unit.shape[0])
     rows = max(SCORE_FLOATS // m // SELECT_CLASSES * SELECT_CLASSES, k, SELECT_CLASSES)
     # One score buffer for every tile and chunk; each chunk's scores are a
     # C-contiguous view of it, the layout `tile @ chunk.T` would allocate.
     buffer = np.empty(m * min(rows, index.size), dtype=np.float32)
-    results = []
     for start in range(0, unit.shape[0], QUERY_TILE):
         tile = unit[start : start + QUERY_TILE]
         q = tile.shape[0]
@@ -210,8 +222,8 @@ def top_k_batch(
                     found.append((np.repeat(np.arange(q), k), top_ids.ravel(), top_vals.ravel()))
                 top_ids, top_vals = _best_k(*map(np.concatenate, zip(*found)), q, k)
                 found = []
-        results += [list(zip(i, v)) for i, v in zip(top_ids.tolist(), top_vals.tolist())]
-    return results
+        hit_ids[start : start + q], hit_scores[start : start + q] = top_ids, top_vals
+    return hit_ids, hit_scores
 
 
 def _select(

@@ -31,6 +31,15 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def search_tsv(ids, scores):
+    """The `search` TSV of a top_k_batch answer: query row, rank, id, score."""
+    return "".join(
+        f"{row}\t{rank}\t{i}\t{s:.6f}\n"
+        for row in range(ids.shape[0])
+        for rank, (i, s) in enumerate(zip(ids[row].tolist(), scores[row].tolist()), start=1)
+    )
+
+
 def test_fit_happy_path(workdir):
     out = workdir / "w.json"
     code = run(
@@ -230,23 +239,28 @@ def test_search_matches_library_batch(workdir, capsys):
     assert run(["search", "--index", str(workdir / "data.emb1"),
                 "--query", str(workdir / "q.emb1"), "--top", "4"]) == 0
     index = retrieval.build_index(fileio.read_emb1(workdir / "data.emb1"))
-    expected = "".join(
-        f"{row}\t{rank}\t{i}\t{s:.6f}\n"
-        for row, hits in enumerate(retrieval.top_k_batch(index, queries, 4))
-        for rank, (i, s) in enumerate(hits, start=1)
-    )
+    expected = search_tsv(*retrieval.top_k_batch(index, queries, 4))
     assert capsys.readouterr().out == expected
+
+
+LATE_ZERO_QUERY = np.ones((2 * retrieval.QUERY_TILE + 3, 4))
+LATE_ZERO_QUERY[-2] = 0.0  # in the last tile, after two tiles that would be answered
 
 
 @pytest.mark.parametrize(
     "query, code",
-    [(np.zeros((2, 4)), "ZeroVector"), (np.ones((2, 3)), "DimensionMismatch")],
+    [(np.zeros((2, 4)), "ZeroVector"), (np.ones((2, 3)), "DimensionMismatch"),
+     (LATE_ZERO_QUERY, "ZeroVector")],
 )
 def test_search_bad_queries_are_runtime_errors(workdir, query, code, capsys):
+    """Every query is checked before the first hit is written: no output at all."""
     fileio.write_emb1(workdir / "q.emb1", query)
-    assert run(["search", "--index", str(workdir / "data.emb1"),
-                "--query", str(workdir / "q.emb1")]) == 1
-    assert capsys.readouterr().err.startswith(f"{code}:")
+    argv = ["search", "--index", str(workdir / "data.emb1"), "--query", str(workdir / "q.emb1")]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"{code}:") and out == ""
+    assert run(argv + ["--out", str(workdir / "hits.tsv")]) == 1
+    assert not (workdir / "hits.tsv").exists()
 
 
 def test_bench_json(workdir, capsys):
@@ -632,11 +646,7 @@ def test_search_streams_index(workdir, fitted, monkeypatch, capsys, with_transfo
         base, queries = whitening.apply_batch(t, base), whitening.apply_batch(t, queries)
     index = retrieval.build_index(base)
     assert index.norms_dropped == 2
-    expected = "".join(
-        f"{row}\t{rank}\t{i}\t{s:.6f}\n"
-        for row, hits in enumerate(retrieval.top_k_batch(index, queries, 5))
-        for rank, (i, s) in enumerate(hits, start=1)
-    )
+    expected = search_tsv(*retrieval.top_k_batch(index, queries, 5))
     refuse_bulk_read(monkeypatch, workdir / "base.emb1")
     assert run(argv) == 0
     assert capsys.readouterr().out == expected
@@ -655,11 +665,7 @@ def test_search_queries_span_blocks(workdir, fitted, monkeypatch, capsys, with_t
         t = fileio.load_transform(fitted)
         argv += ["--transform", str(fitted)]
         base, queries = whitening.apply_batch(t, base), whitening.apply_batch(t, queries)
-    expected = "".join(
-        f"{row}\t{rank}\t{i}\t{s:.6f}\n"
-        for row, hits in enumerate(retrieval.top_k_batch(retrieval.build_index(base), queries, 3))
-        for rank, (i, s) in enumerate(hits, start=1)
-    )
+    expected = search_tsv(*retrieval.top_k_batch(retrieval.build_index(base), queries, 3))
     refuse_bulk_read(monkeypatch, workdir / "q.emb1")
     assert run(argv) == 0
     assert capsys.readouterr().out == expected

@@ -111,6 +111,27 @@ def test_search_holds_index_and_one_score_tile(inputs):
     assert peak < index_bytes + 1.5 * buffer_bytes
 
 
+def test_search_at_a_large_top_holds_the_answer_as_arrays(inputs):
+    """Many queries at a large --top hold two m x top arrays, 12 bytes a hit.
+
+    The index is one chunk of SELECT_CLASSES rows, so its score buffer is
+    m x 1024 floats (2 MiB) and the rest of the 1.5 score buffers covers
+    one tile's selection. 1536 queries at --top 256 are 393 216 hits
+    (4.5 MiB as arrays); the bound is 28.8 MiB. Measured with numpy
+    2.4.6: 22.0 MiB. Held as (id, score) tuples and then as TSV lines
+    before one joined write, the same hits peaked at 72.6 MiB.
+    """
+    d = inputs
+    rows, top = retrieval.SELECT_CLASSES, 256
+    fileio.write_emb1(d / "small.emb1", np.random.default_rng(8).standard_normal((rows, D)) + 1.0)
+    m = fileio.read_emb1_header(d / "query.emb1").count
+    assert rows <= retrieval.SCORE_FLOATS // retrieval.QUERY_TILE and m >= 3 * retrieval.QUERY_TILE
+    argv = ["search", "--index", str(d / "small.emb1"), "--query", str(d / "query.emb1"),
+            "--top", str(top), "--out", str(d / "hits.tsv")]
+    bound = rows * D * 4 + 1.5 * retrieval.SCORE_FLOATS * 4 + m * top * 12
+    assert peak_bytes(cli, argv) < bound
+
+
 def test_library_sweep_k_of_float32_pairs_holds_blocks():
     rng = np.random.default_rng(6)
     x32, y32 = (rng.standard_normal((N, D), dtype=np.float32) for _ in range(2))

@@ -47,8 +47,10 @@ FORMS = {
         {"0-D", "1xd", "wrong width"},
     ),
     "top_k": (
-        lambda x, _: retrieval.top_k(INDEX, x, 5),
-        lambda x, _: retrieval.top_k_batch(INDEX, np.asarray(x)[np.newaxis], 5)[0],
+        lambda x, _: tuple(map(bits, retrieval.top_k(INDEX, x, 5))),
+        lambda x, _: tuple(
+            bits(a[0]) for a in retrieval.top_k_batch(INDEX, np.asarray(x)[np.newaxis], 5)
+        ),
         {"0-D", "1xd", "wrong width"},
     ),
     "write_emb1": (written, written_as_blocks, set(INPUTS) - {"1xd"}),

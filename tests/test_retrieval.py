@@ -22,7 +22,31 @@ def gemv_top_k(index, query, k_results):
         candidates = np.arange(index.size)
     order = np.lexsort((index.ids[candidates], -scores[candidates]))
     chosen = candidates[order[:k]]
-    return [(int(index.ids[i]), float(scores[i])) for i in chosen]
+    return index.ids[chosen].astype(np.int64), scores[chosen]
+
+
+def answer(ranked_rows, k):
+    """(ids, scores) as top_k_batch returns them: the first k (id, score)
+    pairs of each row's ranking, k no more than any row holds."""
+    ids = [[i for i, _ in row[:k]] for row in ranked_rows]
+    scores = [[s for _, s in row[:k]] for row in ranked_rows]
+    shape = (len(ranked_rows), k)
+    return np.array(ids, dtype=np.int64).reshape(shape), np.array(scores).reshape(shape)
+
+
+def assert_same_hits(got, want):
+    """Equal ids and bit-equal float32 scores, in the answer's dtypes and shape.
+
+    ``want``'s scores may be float64, but only of values that float32 holds
+    exactly, so the comparison is as strict as the float64 one.
+    """
+    (ids, scores), (want_ids, want_scores) = got, want
+    want32 = np.asarray(want_scores, dtype=np.float32)
+    assert np.array_equal(want32, want_scores)
+    assert ids.dtype == np.int64 and scores.dtype == np.float32
+    assert ids.shape == scores.shape == np.shape(want_ids) == want32.shape
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(scores.view(np.uint32), want32.view(np.uint32))
 
 
 def whole_matrix_build_index(data):
@@ -47,9 +71,8 @@ def batch_oracle(index, queries, k):
             [tile @ index.vectors[a : a + rows].T for a in range(0, index.size, rows)], axis=1
         )
         for row in np.clip(block, -1.0, 1.0):
-            ranked = sorted(zip(index.ids.tolist(), row.tolist()), key=lambda p: (-p[1], p[0]))
-            out.append([(int(i), float(s)) for i, s in ranked[:k]])
-    return out
+            out.append(sorted(zip(index.ids.tolist(), row.tolist()), key=lambda p: (-p[1], p[0])))
+    return answer(out, min(k, index.size))
 
 
 def exact_rows(rng, n, d):
@@ -73,9 +96,8 @@ def exact_oracle(index, queries, k):
     unit = q / np.sqrt(np.vecdot(q, q))[:, np.newaxis]
     out = []
     for row in unit @ index.vectors.astype(np.float64).T:
-        ranked = sorted(zip(index.ids.tolist(), row.tolist()), key=lambda p: (-p[1], p[0]))
-        out.append(ranked[:k])
-    return out
+        out.append(sorted(zip(index.ids.tolist(), row.tolist()), key=lambda p: (-p[1], p[0])))
+    return answer(out, min(k, index.size))
 
 
 def small_constants(monkeypatch, tile, classes, floats):
@@ -103,7 +125,8 @@ def full_sort_oracle(index, query, k):
     q32 = (q / np.linalg.norm(q)).astype(np.float32)
     scores = np.clip(index.vectors @ q32, -1.0, 1.0)
     ranked = sorted(zip(index.ids.tolist(), scores.tolist()), key=lambda p: (-p[1], p[0]))
-    return [(int(i), float(s)) for i, s in ranked[:k]]
+    ids, scores = answer([ranked], min(k, index.size))
+    return ids[0], scores[0]
 
 
 class TestRowNorms:
@@ -164,7 +187,19 @@ class TestBuildIndex:
         with pytest.raises(error):
             retrieval.CosineIndex(vectors=vectors, ids=np.array(ids), norms_dropped=0)
         gaps = retrieval.CosineIndex(vectors=vectors, ids=np.array([0, 4, 9]), norms_dropped=0)
-        assert retrieval.top_k(gaps, np.array([0.0, 1.0, 0.0]), 2) == [(4, 1.0), (0, 0.0)]
+        assert_same_hits(retrieval.top_k(gaps, np.array([0.0, 1.0, 0.0]), 2), ([4, 0], [1.0, 0.0]))
+
+    def test_vectors_must_be_a_matrix(self):
+        """A 1-D index would reach top_k_batch as a raw IndexError."""
+        with pytest.raises(errors.DimensionMismatch, match="2-D"):
+            retrieval.CosineIndex(
+                vectors=np.ones(3, dtype=np.float32), ids=np.arange(3), norms_dropped=0
+            )
+
+    def test_vectors_must_be_float32(self):
+        """Float64 rows that are not unit would score 1.414 as a clipped 1.0."""
+        with pytest.raises(errors.InvalidParameter, match="float64"):
+            retrieval.CosineIndex(vectors=np.ones((3, 2)), ids=np.arange(3), norms_dropped=0)
 
     def test_empty_rejected(self):
         with pytest.raises(errors.EmptyInput):
@@ -247,16 +282,17 @@ class TestTopK:
         return retrieval.build_index(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_exact_match(self, two_axis_index):
-        assert retrieval.top_k(two_axis_index, np.array([1.0, 0.0]), 1) == [(0, 1.0)]
+        assert_same_hits(retrieval.top_k(two_axis_index, np.array([1.0, 0.0]), 1), ([0], [1.0]))
 
     def test_tie_broken_by_id(self, two_axis_index):
-        results = retrieval.top_k(two_axis_index, np.array([1.0, 1.0]), 2)
-        assert [i for i, _ in results] == [0, 1]
-        for _, score in results:
+        ids, scores = retrieval.top_k(two_axis_index, np.array([1.0, 1.0]), 2)
+        assert ids.tolist() == [0, 1]
+        for score in scores:
             assert score == pytest.approx(1 / np.sqrt(2), abs=1e-6)
 
     def test_k_clamped_to_size(self, two_axis_index):
-        assert len(retrieval.top_k(two_axis_index, np.array([1.0, 2.0]), 99)) == 2
+        ids, scores = retrieval.top_k(two_axis_index, np.array([1.0, 2.0]), 99)
+        assert ids.shape == scores.shape == (2,)
 
     def test_zero_query(self, two_axis_index):
         with pytest.raises(errors.ZeroVector):
@@ -274,7 +310,8 @@ class TestTopK:
             retrieval.top_k_batch(two_axis_index, np.eye(2), k)
 
     def test_numpy_integer_k_accepted(self, two_axis_index):
-        assert retrieval.top_k(two_axis_index, np.array([1.0, 0.0]), np.int64(1)) == [(0, 1.0)]
+        hits = retrieval.top_k(two_axis_index, np.array([1.0, 0.0]), np.int64(1))
+        assert_same_hits(hits, ([0], [1.0]))
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(2)
@@ -284,7 +321,7 @@ class TestTopK:
         for _ in range(25):
             q = rng.standard_normal(12)
             k = int(rng.integers(1, 30))
-            assert retrieval.top_k(idx, q, k) == full_sort_oracle(idx, q, k)
+            assert_same_hits(retrieval.top_k(idx, q, k), full_sort_oracle(idx, q, k))
 
     def test_oracle_with_duplicate_vectors(self):
         # duplicates force score ties across many ids
@@ -292,16 +329,15 @@ class TestTopK:
         data = np.repeat(base, 5, axis=0)
         idx = retrieval.build_index(data)
         q = np.array([1.0, 1.0])
-        assert retrieval.top_k(idx, q, 7) == full_sort_oracle(idx, q, 7)
+        assert_same_hits(retrieval.top_k(idx, q, 7), full_sort_oracle(idx, q, 7))
 
     def test_scores_in_range_and_deterministic(self):
         rng = np.random.default_rng(3)
         idx = retrieval.build_index(rng.standard_normal((100, 32)) * 50)
         q = rng.standard_normal(32)
         first = retrieval.top_k(idx, q, 10)
-        for _, score in first:
-            assert -1.0 <= score <= 1.0
-        assert retrieval.top_k(idx, q, 10) == first
+        assert np.all((-1.0 <= first[1]) & (first[1] <= 1.0))
+        assert_same_hits(retrieval.top_k(idx, q, 10), first)
 
 
 class TestTopKBatch:
@@ -315,7 +351,7 @@ class TestTopKBatch:
             data[idx.ids[rng.integers(0, idx.size, n_queries)]],
         ])[rng.permutation(2 * n_queries)[:n_queries]]
         for k in (1, 3, 12, 40, idx.size - 1, idx.size, idx.size + 5):
-            assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+            assert_same_hits(retrieval.top_k_batch(idx, queries, k), batch_oracle(idx, queries, k))
 
     @pytest.mark.parametrize("k", [1, 10, 41, 1500, 2999, 5000])
     def test_residue_classes_exact_on_larger_index(self, k):
@@ -324,7 +360,7 @@ class TestTopKBatch:
         data = clustered_index(rng, 3000, 8, zero_rows=9)
         idx = retrieval.build_index(data)
         queries = np.concatenate([data[idx.ids[:40]], rng.standard_normal((30, 8))])
-        assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+        assert_same_hits(retrieval.top_k_batch(idx, queries, k), batch_oracle(idx, queries, k))
 
     def test_tiles_share_one_score_buffer(self, monkeypatch):
         """Every tile x chunk is scored into one buffer of at most SCORE_FLOATS,
@@ -374,7 +410,7 @@ class TestTopKBatch:
         assert idx.size > rows and np.diff(idx.ids).max() > 1
         queries = np.concatenate([exact_rows(rng, 2 * tile + 1, d), data[idx.ids[:3]]])
         for k in range(1, idx.size + 4):
-            assert retrieval.top_k_batch(idx, queries, k) == exact_oracle(idx, queries, k)
+            assert_same_hits(retrieval.top_k_batch(idx, queries, k), exact_oracle(idx, queries, k))
 
     def test_k_larger_than_one_chunk_widens_the_chunk(self, monkeypatch):
         """A chunk holds at least k rows, so the first chunk has k candidates."""
@@ -393,7 +429,7 @@ class TestTopKBatch:
         monkeypatch.setattr(retrieval, "_select", select)
         for k in (rows + 1, 2 * rows + 3):
             seen.clear()
-            assert retrieval.top_k_batch(idx, queries, k) == exact_oracle(idx, queries, k)
+            assert_same_hits(retrieval.top_k_batch(idx, queries, k), exact_oracle(idx, queries, k))
             assert max(seen) == k
 
     def test_chunked_matches_oracle_on_clustered_index(self, monkeypatch):
@@ -404,7 +440,7 @@ class TestTopKBatch:
         idx = retrieval.build_index(data)
         queries = np.concatenate([data[idx.ids[:40]], rng.standard_normal((30, 8))])
         for k in (1, 10, 41, 1500):
-            assert retrieval.top_k_batch(idx, queries, k) == batch_oracle(idx, queries, k)
+            assert_same_hits(retrieval.top_k_batch(idx, queries, k), batch_oracle(idx, queries, k))
 
     def test_later_chunks_keep_no_ties_with_the_running_floor(self, monkeypatch):
         """Identical rows: every chunk after the first ties its whole block
@@ -428,7 +464,7 @@ class TestTopKBatch:
         assert rows == 8 and len(seen) == 2 * 6  # two tiles of six chunks each
         assert all(first and count >= 3 * 4 for first, count in seen[::6])
         assert all(not first and count == 0 for i, (first, count) in enumerate(seen) if i % 6)
-        assert [[i for i, _ in h] for h in hits] == [[0, 1, 2]] * 6
+        assert np.array_equal(hits[0], [[0, 1, 2]] * 6)
 
     def test_best_k_sorts_as_lexsort(self):
         """Signed zeros and subnormal scores tie or order as floats compare."""
@@ -449,18 +485,34 @@ class TestTopKBatch:
     def test_ties_at_boundary_resolved_by_id(self):
         data = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 7, axis=0)
         idx = retrieval.build_index(data)
-        hits = retrieval.top_k_batch(idx, np.array([[1.0, 0.0], [1.0, 1.0]]), 9)
-        assert [i for i, _ in hits[0]] == list(range(7)) + [14, 15]
-        assert [i for i, _ in hits[1]] == list(range(14, 21)) + [0, 1]
+        ids, _ = retrieval.top_k_batch(idx, np.array([[1.0, 0.0], [1.0, 1.0]]), 9)
+        assert ids.tolist() == [list(range(7)) + [14, 15], list(range(14, 21)) + [0, 1]]
 
     def test_zero_queries(self):
         idx = retrieval.build_index(np.eye(3))
-        assert retrieval.top_k_batch(idx, np.empty((0, 3)), 2) == []
+        assert_same_hits(retrieval.top_k_batch(idx, np.empty((0, 3)), 2), answer([], 2))
 
     def test_all_rows_dropped_gives_empty_hits(self):
         idx = retrieval.build_index(np.zeros((4, 3)))
-        assert retrieval.top_k_batch(idx, np.ones((2, 3)), 2) == [[], []]
-        assert retrieval.top_k(idx, np.ones(3), 2) == []
+        assert_same_hits(retrieval.top_k_batch(idx, np.ones((2, 3)), 2), answer([[], []], 0))
+        assert_same_hits(retrieval.top_k(idx, np.ones(3), 2), ([], []))
+
+    @pytest.mark.parametrize("rows, m, k_results, k", [
+        (np.eye(3), 4, 2, 2),  # k below the index size
+        (np.eye(3), 1, 9, 3),  # k clamped to the index size
+        (np.eye(3), 0, 2, 2),  # no queries: 0 x k
+        (np.zeros((4, 3)), 5, 2, 0),  # every row dropped: m x 0
+        (np.zeros((4, 3)), 0, 2, 0),
+    ])
+    def test_answer_is_an_int64_and_a_float32_m_by_k_array(self, rows, m, k_results, k):
+        idx = retrieval.build_index(rows)
+        ids, scores = retrieval.top_k_batch(idx, np.ones((m, 3)), k_results)
+        assert ids.dtype == np.int64 and scores.dtype == np.float32
+        assert ids.shape == scores.shape == (m, k)
+        if m:
+            one_ids, one_scores = retrieval.top_k(idx, np.ones(3), k_results)
+            assert one_ids.dtype == np.int64 and one_scores.dtype == np.float32
+            assert one_ids.shape == one_scores.shape == (k,)
 
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 4)])
     def test_dim_mismatch(self, shape):
@@ -505,7 +557,7 @@ class TestTopKBatch:
         ])
         for q in queries:
             for k in (1, 10, 45):
-                assert retrieval.top_k(idx, q, k) == gemv_top_k(idx, q, k)
+                assert_same_hits(retrieval.top_k(idx, q, k), gemv_top_k(idx, q, k))
 
     def test_batch_rows_match_top_k_away_from_near_ties(self):
         rng = np.random.default_rng(12)
@@ -513,14 +565,13 @@ class TestTopKBatch:
         idx = retrieval.build_index(data)
         queries = np.concatenate([rng.standard_normal((100, 48)), data[idx.ids[:30]]])
         k = 10
-        for q, batch_row in zip(queries, retrieval.top_k_batch(idx, queries, k)):
+        for q, *batch_row in zip(queries, *retrieval.top_k_batch(idx, queries, k)):
             single = retrieval.top_k(idx, q, k)
-            kth = single[-1][1]
-            firm = lambda hits: {i for i, s in hits if s > kth + 1e-6}
+            kth = single[1][-1]
+            firm = lambda hits: set(hits[0][hits[1] > kth + 1e-6].tolist())
             assert firm(batch_row) == firm(single)
-            assert len(batch_row) == len(single) == k
-            for (i, s), (j, t) in zip(batch_row, single):
-                assert abs(s - t) <= 1e-6
+            assert batch_row[0].shape == single[0].shape == (k,)
+            assert np.all(np.abs(batch_row[1] - single[1]) <= 1e-6)
 
 
 class TestBenchmark:

@@ -1,7 +1,8 @@
 """Module structure: row input has one home, and search needs no transform.
 
 ``streaming`` is a leaf that owns every rule for row input; ``whitening``
-is the transform alone; ``retrieval`` scores rows without fitting them.
+is the transform alone; ``retrieval`` scores rows without fitting them;
+``cli`` writes every command's text through one function, ``_emit``.
 """
 
 import ast
@@ -65,3 +66,26 @@ def test_row_input_is_defined_in_streaming_alone():
 
 def test_blocks_split_into_whole_apply_tiles():
     assert streaming.BLOCK_ROWS % whitening.TILE_ROWS == 0
+
+
+def test_cli_text_output_goes_through_emit():
+    """stdout and ``write_atomic`` are named in ``cli`` only inside ``_emit``,
+    and every ``print`` names its file (stderr), so no command writes text
+    another way."""
+    tree = parse("cli")
+    (emit,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_emit"]
+    inside = {id(node) for node in ast.walk(emit)}
+    writers = {"stdout", "write_atomic"}
+    named = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in writers
+        or isinstance(node, ast.Name) and node.id in writers
+        or isinstance(node, ast.alias) and node.name.rpartition(".")[2] in writers
+    ]
+    assert {node.attr for node in named if isinstance(node, ast.Attribute)} == writers
+    assert all(id(node) in inside for node in named)
+    prints = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert prints and all(any(kw.arg == "file" for kw in node.keywords) for node in prints)
