@@ -42,6 +42,7 @@ from .retrieval import (
     benchmark,
     build_index,
     build_index_blocks,
+    search_blocks,
     top_k,
     top_k_batch,
 )

@@ -182,22 +182,21 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _load_index_and_queries(args):
-    """The index and the queries, each whitened by --transform if given.
+def _search_inputs(args):
+    """(index blocks, count, dim, queries) of --index and --query, whitened by --transform if given.
 
-    Both headers are checked before the index is built.
+    Both headers are checked, then the queries are read and checked,
+    before any index block is read.
     """
     t = fileio.load_transform(args.transform) if args.transform else None
     blocks, count, dim = _emb1_blocks(args.index, t, None)
     queries, _, _ = _emb1_blocks(args.query, t, dim)
-    index = retrieval.build_index_blocks(blocks, count, dim)
-    # float32 blocks stay float32: top_k_batch upcasts them exactly.
-    return index, np.concatenate([np.empty((0, dim), dtype=np.float32), *queries])
+    # float32 blocks stay float32: the search upcasts them exactly.
+    return blocks, count, dim, np.concatenate([np.empty((0, dim), dtype=np.float32), *queries])
 
 
 def cmd_search(args) -> int:
-    index, queries = _load_index_and_queries(args)
-    ids, scores = retrieval.top_k_batch(index, queries, args.top)
+    ids, scores = retrieval.search_blocks(*_search_inputs(args), args.top)
     rows = (
         "".join(
             f"{row}\t{rank}\t{vec_id}\t{score:.6f}\n"
@@ -210,7 +209,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    index, queries = _load_index_and_queries(args)
+    blocks, count, dim, queries = _search_inputs(args)
+    index = retrieval.build_index_blocks(blocks, count, dim)
     report = retrieval.benchmark(index, queries, args.top, repetitions=args.reps)
     _emit([json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"], args.out)
     return 0

@@ -6,25 +6,31 @@ length-d dot product per stored vector. This makes the storage/speed
 effect of dimensionality reduction directly measurable without any
 approximate-index artifacts.
 
-``top_k_batch`` answers up to ``QUERY_TILE`` queries at a time. Each
-tile is scored against the index one chunk of rows at a time, as
-``tile @ chunk.T`` into one reused float32 buffer of ``SCORE_FLOATS``
-(m queries x SCORE_FLOATS // m rows), so the buffer does not grow with
-the index. Scores are clipped to [-1, 1]. The first chunk yields every
-score at or above its k-th largest residue-class maximum, which never
-exceeds the query's final k-th best score. A later chunk yields only the
-scores strictly above the query's running k-th best: its rows have
-larger ids than every row merged so far (``CosineIndex`` ids ascend), so
-a score equal to that floor can never displace one of them. Candidates
-are merged into the running top k by descending score, then ascending
-id, once they outnumber it and after the last chunk, so every tie at the
-k-th score is resolved as a full sort would, and written straight into
-the answer: m x k int64 ids and float32 scores. ``top_k`` is its one-row
-call; a one-row tile scores an index of up to SCORE_FLOATS rows in one
-chunk, a matrix-vector product, so a lone query costs one GEMV. A row
-of a larger batch can differ from the lone call only in the last float32
-bit of a score (GEMM and GEMV round differently), so ids can differ only
-at near-ties.
+One loop answers every search, over chunks of unit index rows from one
+of two sources: ``top_k_batch`` slices them from a ``CosineIndex`` held
+in memory, and ``search_blocks`` normalizes row blocks as they arrive
+into one reused chunk, with the normalizer ``build_index_blocks`` uses,
+so it never holds the index. Queries are answered in tiles of up to
+``QUERY_TILE``; chunks hold SCORE_FLOATS // m rows for tiles of m
+queries, and each chunk is scored against every tile in turn, as
+``tile @ chunk.T`` into one reused float32 buffer of ``SCORE_FLOATS``, so
+the buffer does not grow with the index. Scores are clipped to [-1, 1].
+The first chunk yields every score at or above its k-th largest
+residue-class maximum, which never exceeds the query's final k-th best
+score. A later chunk yields only the scores strictly above the query's
+running k-th best: its rows have larger ids than every row merged so
+far (ids ascend), so a score equal to that floor can never displace one
+of them. Candidates are merged into the running top k by descending
+score, then ascending id, once they outnumber it and after the last
+chunk, so every tie at the k-th score is resolved as a full sort would,
+and written straight into the answer: m x k int64 ids and float32
+scores. Both sources give the loop the same chunks, so their answers
+are equal bit for bit. ``top_k`` is the one-row call of ``top_k_batch``;
+a one-row tile scores an index of up to SCORE_FLOATS rows in one chunk,
+a matrix-vector product, so a lone query costs one GEMV. A row of a
+larger batch can differ from the lone call only in the last float32 bit
+of a score (GEMM and GEMV round differently), so ids can differ only at
+near-ties.
 """
 
 import time
@@ -140,28 +146,57 @@ def build_index_blocks(blocks: Iterable[np.ndarray], count: int, dim: int) -> Co
     must be integers (InvalidParameter), with ``count >= 1`` (EmptyInput)
     and ``dim >= 1`` (DimensionMismatch), before anything is allocated.
     """
+    count, dim = _index_shape(count, dim)
+    vectors, ids = np.empty((0, dim), dtype=np.float32), np.empty(0, dtype=np.int64)
+    for vectors, ids in _unit_chunks(blocks, count, dim, count):
+        pass  # one chunk of every kept row, or none if every row has zero norm
+    return CosineIndex(vectors=vectors, ids=ids, norms_dropped=count - ids.size)
+
+
+def _index_shape(count, dim) -> tuple[int, int]:
+    """``count`` and ``dim`` of an index's rows, checked as ``build_index_blocks`` states."""
     count = require_int(count, "count")
     dim = require_int(dim, "dim")
     if count < 1:
         raise EmptyInput(f"cannot index {count} vectors")
     if dim < 1:
         raise DimensionMismatch(f"cannot index rows of dim {dim}")
-    vectors = np.empty((count, dim), dtype=np.float32)
-    ids = np.empty(count, dtype=np.int64)
+    return count, dim
+
+
+def _unit_chunks(blocks, count: int, dim: int, rows: int):
+    """Yield (vectors, ids): the nonzero rows of ``blocks``, unit float32, ``rows`` at a time.
+
+    The one normalizer of index rows. Zero-norm rows are dropped; every
+    kept row is divided by its float64 norm straight into one reused
+    float32 buffer of ``min(rows, count)`` rows, which is yielded (with
+    the kept rows' ascending ids) each time it is full and once more,
+    partly filled, for the rows left at the end. No chunk is empty. A
+    chunk is overwritten when the next one is asked for. The blocks are
+    checked by ``checked_blocks`` and ``row_norms`` as they arrive.
+    """
+    vectors = np.empty((min(rows, count), dim), dtype=np.float32)
+    ids = np.empty(vectors.shape[0], dtype=np.int64)
     seen = kept = 0
     for block in checked_blocks(blocks, count, dim):
         norms, nonzero = row_norms(block)
         keep = np.flatnonzero(nonzero)
-        np.divide(
-            block[keep],
-            norms[keep, np.newaxis],
-            out=vectors[kept : kept + keep.size],
-            casting="same_kind",
-        )
-        ids[kept : kept + keep.size] = keep + seen
+        while keep.size:
+            take, keep = keep[: rows - kept], keep[rows - kept :]
+            np.divide(
+                block[take],
+                norms[take, np.newaxis],
+                out=vectors[kept : kept + take.size],
+                casting="same_kind",
+            )
+            ids[kept : kept + take.size] = take + seen
+            kept += take.size
+            if kept == rows:
+                yield vectors, ids
+                kept = 0
         seen += block.shape[0]
-        kept += keep.size
-    return CosineIndex(vectors=vectors[:kept], ids=ids[:kept], norms_dropped=count - kept)
+    if kept:
+        yield vectors[:kept], ids[:kept]
 
 
 def top_k(index: CosineIndex, query: np.ndarray, k_results: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +221,39 @@ def top_k_batch(
     ZeroVector for a zero-norm query and InvalidParameter for a
     ``k_results`` that is not an integer, before any scoring.
     """
-    queries = as_rows(queries, index.dim, "queries")
+    unit, k_results = _unit_queries(queries, index.dim, k_results)
+    rows = _chunk_rows(unit.shape[0], k_results)
+    chunks = (
+        (index.vectors[first : first + rows], index.ids[first : first + rows])
+        for first in range(0, index.size, rows)
+    )
+    return _top_k_chunks(unit, chunks, k_results)
+
+
+def search_blocks(
+    blocks: Iterable[np.ndarray], count: int, dim: int, queries: np.ndarray, k_results: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``top_k_batch(build_index_blocks(blocks, count, dim), queries, k_results)``, in one pass.
+
+    The index is never held: its rows are normalized as they arrive
+    into one reused chunk, the one ``top_k_batch`` would slice from the
+    index, and every query is scored against it before the next chunk is
+    read. So the answer equals that call's bit for bit, and memory holds
+    the queries, the answer, one chunk and the score buffer, whatever
+    ``count``. ``count`` and ``dim`` are checked as ``build_index_blocks``
+    checks them, then the queries and ``k_results`` as ``top_k_batch``
+    checks them, before any block is read; each block is checked as it
+    arrives, so with no queries the blocks are still read and checked.
+    """
+    count, dim = _index_shape(count, dim)
+    unit, k_results = _unit_queries(queries, dim, k_results)
+    rows = _chunk_rows(unit.shape[0], k_results)
+    return _top_k_chunks(unit, _unit_chunks(blocks, count, dim, rows), k_results)
+
+
+def _unit_queries(queries, dim: int, k_results) -> tuple[np.ndarray, int]:
+    """(unit float32 queries, k_results as an int), checked as ``top_k_batch`` states."""
+    queries = as_rows(queries, dim, "queries")
     qnorms, nonzero = row_norms(queries)
     zero = np.flatnonzero(~nonzero)
     if zero.size:
@@ -194,35 +261,65 @@ def top_k_batch(
     k_results = require_int(k_results, "k_results")
     if k_results < 1:
         raise DimensionMismatch(f"k_results must be >= 1, got {k_results}")
-    unit = (queries / qnorms[:, np.newaxis]).astype(np.float32)
-    k = min(k_results, index.size)
-    hit_ids = np.empty((unit.shape[0], k), dtype=np.int64)
-    hit_scores = np.empty((unit.shape[0], k), dtype=np.float32)
-    if hit_ids.size == 0:  # no queries, or every indexed row had zero norm
-        return hit_ids, hit_scores
-    m = min(QUERY_TILE, unit.shape[0])
-    rows = max(SCORE_FLOATS // m // SELECT_CLASSES * SELECT_CLASSES, k, SELECT_CLASSES)
-    # One score buffer for every tile and chunk; each chunk's scores are a
-    # C-contiguous view of it, the layout `tile @ chunk.T` would allocate.
-    buffer = np.empty(m * min(rows, index.size), dtype=np.float32)
-    for start in range(0, unit.shape[0], QUERY_TILE):
-        tile = unit[start : start + QUERY_TILE]
-        q = tile.shape[0]
-        found = []  # (row, id, score) candidates not yet merged into the running top k
-        for first in range(0, index.size, rows):
-            chunk = index.vectors[first : first + rows]
+    return (queries / qnorms[:, np.newaxis]).astype(np.float32), k_results
+
+
+def _chunk_rows(queries: int, k_results: int) -> int:
+    """Index rows per chunk: SCORE_FLOATS // m for a tile of m queries, in whole
+    SELECT_CLASSES, and at least ``k_results`` rows. No queries chunk as a full tile."""
+    m = min(QUERY_TILE, queries) or QUERY_TILE
+    return max(SCORE_FLOATS // m // SELECT_CLASSES * SELECT_CLASSES, k_results, SELECT_CLASSES)
+
+
+def _top_k_chunks(unit: np.ndarray, chunks, k_results: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m x k answer of unit float32 queries over ``(vectors, ids)`` index chunks.
+
+    The one scoring loop. Chunks arrive in id order, the first with the
+    most rows, and each is scored against every query tile in turn into
+    one reused buffer. The first chunk fixes k = min(k_results, its
+    rows); no chunk gives an m x 0 answer. Each tile's candidates are
+    merged into its rows of the answer, the running top k, once they
+    outnumber it (always, for the first chunk) and after the last chunk.
+    """
+    n = unit.shape[0]
+    starts = range(0, n, QUERY_TILE)
+    found = [[] for _ in starts]  # per tile: (row, id, score) candidates not yet merged
+    k = 0
+    hit_ids = np.empty((n, k), dtype=np.int64)
+    hit_scores = np.empty((n, k), dtype=np.float32)
+
+    def merge(start, candidates, running):
+        q = min(QUERY_TILE, n - start)
+        if running:
+            candidates.append((np.repeat(np.arange(q), k), hit_ids[start : start + q].ravel(),
+                               hit_scores[start : start + q].ravel()))
+        merged = _best_k(*map(np.concatenate, zip(*candidates)), q, k)
+        hit_ids[start : start + q], hit_scores[start : start + q] = merged
+        candidates.clear()
+
+    first = True
+    for chunk, ids in chunks:
+        if first:
+            k = min(k_results, chunk.shape[0])
+            hit_ids = np.empty((n, k), dtype=np.int64)
+            hit_scores = np.empty((n, k), dtype=np.float32)
+            # One score buffer for every tile and chunk; each chunk's scores are a
+            # C-contiguous view of it, the layout `tile @ chunk.T` would allocate.
+            buffer = np.empty(min(QUERY_TILE, n) * chunk.shape[0], dtype=np.float32)
+        for start, candidates in zip(starts, found):
+            tile = unit[start : start + QUERY_TILE]
+            q = tile.shape[0]
             scores = buffer[: q * chunk.shape[0]].reshape(q, -1)
             np.matmul(tile, chunk.T, out=scores)
-            row, col, vals = _select(scores, k, None if first == 0 else top_vals[:, -1])
-            found.append((row, index.ids[first + col], vals))
-            # Merge once the candidates outnumber the running top k (the
-            # first chunk has at least k a row), and after the last chunk.
-            if sum(f[0].size for f in found) >= q * k or first + rows >= index.size:
-                if first:
-                    found.append((np.repeat(np.arange(q), k), top_ids.ravel(), top_vals.ravel()))
-                top_ids, top_vals = _best_k(*map(np.concatenate, zip(*found)), q, k)
-                found = []
-        hit_ids[start : start + q], hit_scores[start : start + q] = top_ids, top_vals
+            floor = None if first else hit_scores[start : start + q, -1]
+            row, col, vals = _select(scores, k, floor)
+            candidates.append((row, ids[col], vals))
+            if sum(c[0].size for c in candidates) >= q * k:
+                merge(start, candidates, not first)
+        first = False
+    for start, candidates in zip(starts, found):
+        if candidates:
+            merge(start, candidates, True)
     return hit_ids, hit_scores
 
 

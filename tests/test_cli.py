@@ -14,6 +14,8 @@ from whitevec import cli, errors, evaluation, fileio, retrieval, streaming, whit
 from whitevec.cli import build_parser, run
 from whitevec.evaluation import cosine_similarity
 
+from test_retrieval import zero_layout
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -550,6 +552,18 @@ def test_transform_overflow_keeps_old_output(workdir, capsys):
     assert out.read_bytes() == b"previous contents\n"
 
 
+def refuse_block_reads(monkeypatch, path):
+    """Make reading any block of ``path`` through fileio.iter_emb1 fail."""
+    real = fileio.iter_emb1
+
+    def iter_emb1(p):
+        if Path(p) == Path(path):
+            raise AssertionError(f"a block of {path} was read")
+        yield from real(p)
+
+    monkeypatch.setattr(fileio, "iter_emb1", iter_emb1)
+
+
 @pytest.mark.parametrize("with_transform", [False, True])
 @pytest.mark.parametrize("command", ["search", "bench"])
 def test_query_width_checked_before_index_is_built(
@@ -559,6 +573,8 @@ def test_query_width_checked_before_index_is_built(
         raise AssertionError("the index was built before the query header was checked")
 
     monkeypatch.setattr(retrieval, "build_index_blocks", build)
+    monkeypatch.setattr(retrieval, "search_blocks", build)
+    refuse_block_reads(monkeypatch, workdir / "data.emb1")
     fileio.write_emb1(workdir / "q.emb1", np.ones((2, 3)))
     argv = [command, "--index", str(workdir / "data.emb1"), "--query", str(workdir / "q.emb1")]
     if with_transform:
@@ -672,13 +688,103 @@ def test_search_queries_span_blocks(workdir, fitted, monkeypatch, capsys, with_t
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_search_queries_keep_their_file_dtype(workdir, dtype):
-    """A float32 query file is not widened to float64 ahead of top_k_batch."""
+def test_search_queries_keep_their_file_dtype(workdir, monkeypatch, dtype):
+    """A float32 query file is not widened to float64 ahead of the search,
+    and reading the queries reads no index block."""
     fileio.write_emb1(workdir / "q.emb1", np.ones((3, 4)), dtype=dtype)
+    refuse_block_reads(monkeypatch, workdir / "data.emb1")
     args = build_parser().parse_args(["search", "--index", str(workdir / "data.emb1"),
                                       "--query", str(workdir / "q.emb1")])
-    _, queries = cli._load_index_and_queries(args)
+    *_, queries = cli._search_inputs(args)
     assert queries.dtype == dtype and queries.shape == (3, 4)
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
+@pytest.mark.parametrize("m", [1, 2 * 4 + 3])  # one query; three tiles of 4
+@pytest.mark.parametrize("layout", ["edge", "zero_chunk", "trailing", "all_zero"])
+def test_search_streams_chunks_as_the_built_index_answers(
+    workdir, fitted, monkeypatch, capsys, layout, m, with_transform
+):
+    """`search` prints top_k_batch of build_index_blocks, over small chunks and blocks.
+
+    Zero-norm rows (whitened to zero with --transform) sit on both sides
+    of a chunk edge, fill more than a chunk, trail two full chunks, or
+    make up the whole index, whose answer is then empty. --top runs from
+    1 to past the kept rows, through a --top wider than SCORE_FLOATS // m.
+    """
+    monkeypatch.setattr(retrieval, "QUERY_TILE", 4)
+    monkeypatch.setattr(retrieval, "SELECT_CLASSES", 2)
+    monkeypatch.setattr(retrieval, "SCORE_FLOATS", 24)
+    monkeypatch.setattr(fileio, "BLOCK_ROWS", 5)
+    rows = retrieval._chunk_rows(m, 1)
+    rng = np.random.default_rng(m)
+    base = zero_layout(layout, rows, rng, d=4) * 3.0
+    zero = np.all(base == 0.0, axis=1)
+    base[~zero] += 1.0
+    argv = ["search", "--index", str(workdir / "base.emb1"), "--query", str(workdir / "q.emb1")]
+    t = None
+    if with_transform:
+        t = fileio.load_transform(fitted)
+        base[zero] = t.mean  # whitened to exactly zero
+        argv += ["--transform", str(fitted)]
+    fileio.write_emb1(workdir / "base.emb1", base)
+    fileio.write_emb1(workdir / "q.emb1", rng.standard_normal((m, 4)) + 3.0)
+    queries, _, _ = cli._emb1_blocks(workdir / "q.emb1", t, None)
+    queries = np.concatenate(list(queries))
+    for top in (1, 3, rows + 2, base.shape[0] + 5):
+        index = retrieval.build_index_blocks(*cli._emb1_blocks(workdir / "base.emb1", t, None))
+        assert index.norms_dropped == zero.sum()
+        expected = search_tsv(*retrieval.top_k_batch(index, queries, top))
+        assert (expected == "") == (layout == "all_zero")
+        assert run([*argv, "--top", str(top)]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def write_with_last_value_nan(path, rows):
+    """Write float64 ``rows`` as EMB1, then overwrite the payload's last value with NaN."""
+    fileio.write_emb1(path, rows)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([np.nan]).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_search_without_queries_still_checks_the_whole_index(
+    workdir, fitted, capsys, with_transform
+):
+    """No query needs the index, but a NaN in its last block still fails the command."""
+    write_with_last_value_nan(workdir / "base.emb1", np.ones((2 * streaming.BLOCK_ROWS + 3, 4)))
+    fileio.write_emb1(workdir / "q.emb1", np.empty((0, 4)))
+    out = workdir / "hits.tsv"
+    argv = ["search", "--index", str(workdir / "base.emb1"), "--query", str(workdir / "q.emb1"),
+            "--out", str(out)]
+    if with_transform:
+        argv += ["--transform", str(fitted)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("NonFinite:") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", ["nan", "no_rows"])
+@pytest.mark.parametrize("command", ["search", "bench"])
+def test_bad_queries_fail_before_any_index_block_is_read(
+    workdir, monkeypatch, capsys, command, index
+):
+    """With a NaN in the query file, its error wins over a NaN in the index
+    or an index of no rows (EmptyInput): the queries are read first."""
+    if index == "nan":
+        write_with_last_value_nan(workdir / "base.emb1", np.ones((3, 4)))
+    else:
+        fileio.write_emb1(workdir / "base.emb1", np.empty((0, 4)))
+    write_with_last_value_nan(workdir / "q.emb1", np.ones((2, 4)))
+    refuse_block_reads(monkeypatch, workdir / "base.emb1")
+    out = workdir / "hits.out"
+    assert run([command, "--index", str(workdir / "base.emb1"),
+                "--query", str(workdir / "q.emb1"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("NonFinite: embedding payload") and captured.out == ""
+    assert not out.exists()
 
 
 def test_search_index_of_wrong_dim_for_transform(workdir, fitted, capsys):

@@ -379,10 +379,10 @@ class TestTopKBatch:
         monkeypatch.setattr(retrieval, "_select", select)
         retrieval.top_k_batch(idx, queries, 3)
         unit = (queries / np.sqrt(np.vecdot(queries, queries))[:, np.newaxis]).astype(np.float32)
-        products = [
+        products = [  # chunks in the outer loop, tiles in the inner
             unit[t : t + 8] @ idx.vectors[c : c + rows].T
-            for t in range(0, 21, 8)
             for c in range(0, 50, rows)
+            for t in range(0, 21, 8)
         ]
         buffer = seen[0][0]
         assert rows == 12 and len(seen) == len(products) == 15
@@ -461,9 +461,9 @@ class TestTopKBatch:
 
         monkeypatch.setattr(retrieval, "_select", select)
         hits = retrieval.top_k_batch(idx, queries, 3)
-        assert rows == 8 and len(seen) == 2 * 6  # two tiles of six chunks each
-        assert all(first and count >= 3 * 4 for first, count in seen[::6])
-        assert all(not first and count == 0 for i, (first, count) in enumerate(seen) if i % 6)
+        assert rows == 8 and len(seen) == 6 * 2  # six chunks, each scored by two tiles
+        assert all(first and count >= 3 * 4 for first, count in seen[:2])
+        assert all(not first and count == 0 for first, count in seen[2:])
         assert np.array_equal(hits[0], [[0, 1, 2]] * 6)
 
     def test_best_k_sorts_as_lexsort(self):
@@ -572,6 +572,119 @@ class TestTopKBatch:
             assert firm(batch_row) == firm(single)
             assert batch_row[0].shape == single[0].shape == (k,)
             assert np.all(np.abs(batch_row[1] - single[1]) <= 1e-6)
+
+
+def zero_layout(layout, rows, rng, d=5):
+    """Rows of random data with duplicates, and zero rows placed against
+    the kept-row chunk edges of chunks of ``rows`` rows."""
+    n = 4 * rows + 3
+    data = rng.standard_normal((n, d))
+    data[n // 2 : n // 2 + 3] = data[n // 2]
+    if layout == "edge":  # the first chunk ends at row rows, the second starts at rows + 2
+        data[[rows - 1, rows + 1]] = 0.0
+    elif layout == "zero_chunk":  # more than a chunk of zero rows after the first chunk
+        data[rows : 2 * rows + 1] = 0.0
+    elif layout == "trailing":  # two full chunks, then only zero rows
+        data = data[: 2 * rows + 5]
+        data[2 * rows :] = 0.0
+    elif layout == "all_zero":
+        data[:] = 0.0
+    return data
+
+
+def blocks_of(data, size):
+    """``data`` as a stream of ``size``-row blocks, so block and chunk edges differ."""
+    return (data[i : i + size] for i in range(0, data.shape[0], size))
+
+
+class TestSearchBlocks:
+    """search_blocks answers as top_k_batch of build_index_blocks, bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["none", "edge", "zero_chunk", "trailing", "all_zero"])
+    @pytest.mark.parametrize("m", [1, 3, 2 * 4 + 3])  # one query, one tile, three tiles
+    def test_equals_top_k_batch_of_the_built_index(self, monkeypatch, layout, m):
+        small_constants(monkeypatch, tile=4, classes=2, floats=24)
+        rng = np.random.default_rng(m)
+        data = zero_layout(layout, retrieval._chunk_rows(m, 1), rng)
+        n, d = data.shape
+        queries = np.concatenate([rng.standard_normal((m - 1, d)), data[n // 2 : n // 2 + 1]])
+        queries[-1, 0] += 1.0  # not a zero row, whatever the layout
+        index = retrieval.build_index_blocks(blocks_of(data, 5), n, d)
+        chunk_rows = []
+        real = retrieval._select
+
+        def select(scores, k, floor):
+            chunk_rows.append(scores.shape[1])
+            return real(scores, k, floor)
+
+        # k = 1; 3; wider than SCORE_FLOATS // m (a widened chunk); more than the kept rows.
+        for k in (1, 3, retrieval._chunk_rows(m, 1) + 2, n + 5):
+            want = retrieval.top_k_batch(index, queries, k)
+            monkeypatch.setattr(retrieval, "_select", select)
+            chunk_rows.clear()
+            got = retrieval.search_blocks(blocks_of(data, 5), n, d, queries, k)
+            monkeypatch.setattr(retrieval, "_select", real)
+            assert_same_hits(got, want)
+            assert want[0].shape == (m, min(k, index.size))
+            if index.size:  # the shared loop, against a full sort of the same products
+                assert_same_hits(got, batch_oracle(index, queries, k))
+            assert max(chunk_rows, default=0) <= retrieval._chunk_rows(m, k)
+
+    def test_float32_blocks(self):
+        rng = np.random.default_rng(2)
+        data = rng.standard_normal((3 * streaming.BLOCK_ROWS + 5, 8)).astype(np.float32)
+        data[streaming.BLOCK_ROWS] = 0.0
+        queries = rng.standard_normal((retrieval.QUERY_TILE + 1, 8)).astype(np.float32)
+        index = retrieval.build_index_blocks(blocks_of(data, streaming.BLOCK_ROWS), *data.shape)
+        got = retrieval.search_blocks(blocks_of(data, 1000), *data.shape, queries, 10)
+        assert_same_hits(got, retrieval.top_k_batch(index, queries, 10))
+
+    def test_chunk_is_reused_and_never_the_index(self, monkeypatch):
+        """Every chunk is one buffer of at most the chunk rows, not a slice of an index."""
+        rows = small_constants(monkeypatch, tile=4, classes=2, floats=24)
+        data = np.random.default_rng(3).standard_normal((5 * rows + 1, 3))
+        queries = np.ones((4, 3))
+        seen = []
+        real = retrieval._top_k_chunks
+
+        def loop(unit, chunks, k_results):
+            def spy():
+                for vectors, ids in chunks:
+                    seen.append((vectors.base if vectors.base is not None else vectors, ids.size))
+                    yield vectors, ids
+            return real(unit, spy(), k_results)
+
+        monkeypatch.setattr(retrieval, "_top_k_chunks", loop)
+        retrieval.search_blocks(blocks_of(data, 4), *data.shape, queries, 2)
+        assert [size for _, size in seen] == [rows] * 5 + [1]
+        assert all(base is seen[0][0] for base, _ in seen) and seen[0][0].shape == (rows, 3)
+
+    def test_no_queries_still_checks_every_block(self):
+        nan_last = [np.ones((3, 2)), np.array([[1.0, np.nan]])]
+        with pytest.raises(errors.NonFinite):
+            retrieval.search_blocks(iter(nan_last), 4, 2, np.empty((0, 2)), 3)
+        with pytest.raises(errors.DimensionMismatch, match="expected 5"):
+            retrieval.search_blocks(iter([np.ones((3, 2))]), 5, 2, np.empty((0, 2)), 3)
+        ids, scores = retrieval.search_blocks(iter([np.ones((3, 2))]), 3, 2, np.empty((0, 2)), 3)
+        assert ids.shape == scores.shape == (0, 3)
+
+    @pytest.mark.parametrize("count, dim, queries, k, error", [
+        (0, 2, np.ones((1, 2)), 1, errors.EmptyInput),
+        (2.0, 2, np.ones((1, 2)), 1, errors.InvalidParameter),
+        (2, 0, np.ones((1, 0)), 1, errors.DimensionMismatch),
+        (2, 2, np.ones((1, 3)), 1, errors.DimensionMismatch),
+        (2, 2, np.zeros((1, 2)), 1, errors.ZeroVector),
+        (2, 2, np.array([[np.nan, 1.0]]), 1, errors.NonFinite),
+        (2, 2, np.ones((1, 2)), 0, errors.DimensionMismatch),
+        (2, 2, np.ones((1, 2)), 1.0, errors.InvalidParameter),
+    ])
+    def test_checked_before_any_block_is_read(self, count, dim, queries, k, error):
+        def blocks():
+            raise AssertionError("a block was read before the arguments were checked")
+            yield
+
+        with pytest.raises(error):
+            retrieval.search_blocks(blocks(), count, dim, queries, k)
 
 
 class TestBenchmark:
