@@ -14,23 +14,24 @@ so it never holds the index. Queries are answered in tiles of up to
 ``QUERY_TILE``; chunks hold SCORE_FLOATS // m rows for tiles of m
 queries, and each chunk is scored against every tile in turn, as
 ``tile @ chunk.T`` into one reused float32 buffer of ``SCORE_FLOATS``, so
-the buffer does not grow with the index. Scores are clipped to [-1, 1].
-The first chunk yields every score at or above its k-th largest
-residue-class maximum, which never exceeds the query's final k-th best
-score. A later chunk yields only the scores strictly above the query's
-running k-th best: its rows have larger ids than every row merged so
-far (ids ascend), so a score equal to that floor can never displace one
-of them. Candidates are merged into the running top k by descending
-score, then ascending id, once they outnumber it and after the last
-chunk, so every tie at the k-th score is resolved as a full sort would,
-and written straight into the answer: m x k int64 ids and float32
-scores. Both sources give the loop the same chunks, so their answers
-are equal bit for bit. ``top_k`` is the one-row call of ``top_k_batch``;
-a one-row tile scores an index of up to SCORE_FLOATS rows in one chunk,
-a matrix-vector product, so a lone query costs one GEMV. A row of a
-larger batch can differ from the lone call only in the last float32 bit
-of a score (GEMM and GEMV round differently), so ids can differ only at
-near-ties.
+the buffer does not grow with the index. Each tile keeps the scores of
+a chunk strictly above one bound per query, found in one row-major scan,
+so they come out in (row, id) order; they are clipped to [-1, 1]. The
+first chunk's bound lets through every score at or above its k-th
+largest residue-class maximum, which never exceeds the query's final
+k-th best score. A later chunk's bound is the query's running k-th best:
+its rows have larger ids than every row merged so far (ids ascend), so a
+score equal to that floor can never displace one of them. After every
+chunk each tile's candidates are merged into its rows of the answer, the
+running top k, by descending score, then ascending id, so every tie at
+the k-th score is resolved as a full sort would: m x k int64 ids and
+float32 scores. Both sources give the loop the same chunks, so their
+answers are equal bit for bit. ``top_k`` is the one-row call of
+``top_k_batch``; a one-row tile scores an index of up to SCORE_FLOATS
+rows in one chunk, a matrix-vector product, so a lone query costs one
+GEMV. A row of a larger batch can differ from the lone call only in the
+last float32 bit of a score (GEMM and GEMV round differently), so ids
+can differ only at near-ties.
 """
 
 import time
@@ -51,8 +52,8 @@ QUERY_TILE = 512
 # against chunks of SCORE_FLOATS // m index rows, 8192 at m = 512 and the
 # whole of an index of up to 4 Mi rows at m = 1.
 SCORE_FLOATS = 4 * 2**20
-# Residue classes whose maxima bound the k-th best score of a chunk (see
-# _select); chunks are a multiple of this many rows, and at least k rows.
+# Residue classes whose maxima bound the k-th best score of the first chunk
+# (see _select); chunks are a multiple of this many rows, and at least k rows.
 SELECT_CLASSES = 1024
 # Fewest passes over the queries that `benchmark` accepts.
 MIN_REPETITIONS = 3
@@ -195,6 +196,7 @@ def _unit_chunks(blocks, count: int, dim: int, rows: int):
                 yield vectors, ids
                 kept = 0
         seen += block.shape[0]
+    block = norms = nonzero = keep = take = None  # not held while the last chunk is scored
     if kept:
         yield vectors[:kept], ids[:kept]
 
@@ -277,91 +279,77 @@ def _top_k_chunks(unit: np.ndarray, chunks, k_results: int) -> tuple[np.ndarray,
     The one scoring loop. Chunks arrive in id order, the first with the
     most rows, and each is scored against every query tile in turn into
     one reused buffer. The first chunk fixes k = min(k_results, its
-    rows); no chunk gives an m x 0 answer. Each tile's candidates are
-    merged into its rows of the answer, the running top k, once they
-    outnumber it (always, for the first chunk) and after the last chunk.
+    rows); no chunk gives an m x 0 answer. After every chunk, each
+    tile's candidates are merged into its rows of the answer, the
+    running top k, which goes first: its ids are smaller than the
+    chunk's, so entries of equal row and score reach ``_best_k`` in id
+    order.
     """
     n = unit.shape[0]
-    starts = range(0, n, QUERY_TILE)
-    found = [[] for _ in starts]  # per tile: (row, id, score) candidates not yet merged
-    k = 0
+    k = held = 0  # held: columns of the answer that hold a running top k
     hit_ids = np.empty((n, k), dtype=np.int64)
     hit_scores = np.empty((n, k), dtype=np.float32)
-
-    def merge(start, candidates, running):
-        q = min(QUERY_TILE, n - start)
-        if running:
-            candidates.append((np.repeat(np.arange(q), k), hit_ids[start : start + q].ravel(),
-                               hit_scores[start : start + q].ravel()))
-        merged = _best_k(*map(np.concatenate, zip(*candidates)), q, k)
-        hit_ids[start : start + q], hit_scores[start : start + q] = merged
-        candidates.clear()
-
-    first = True
     for chunk, ids in chunks:
-        if first:
+        if not held:
             k = min(k_results, chunk.shape[0])
             hit_ids = np.empty((n, k), dtype=np.int64)
             hit_scores = np.empty((n, k), dtype=np.float32)
             # One score buffer for every tile and chunk; each chunk's scores are a
             # C-contiguous view of it, the layout `tile @ chunk.T` would allocate.
             buffer = np.empty(min(QUERY_TILE, n) * chunk.shape[0], dtype=np.float32)
-        for start, candidates in zip(starts, found):
-            tile = unit[start : start + QUERY_TILE]
-            q = tile.shape[0]
+        for start in range(0, n, QUERY_TILE):
+            tile = slice(start, start + QUERY_TILE)
+            q = unit[tile].shape[0]
             scores = buffer[: q * chunk.shape[0]].reshape(q, -1)
-            np.matmul(tile, chunk.T, out=scores)
-            floor = None if first else hit_scores[start : start + q, -1]
-            row, col, vals = _select(scores, k, floor)
-            candidates.append((row, ids[col], vals))
-            if sum(c[0].size for c in candidates) >= q * k:
-                merge(start, candidates, not first)
-        first = False
-    for start, candidates in zip(starts, found):
-        if candidates:
-            merge(start, candidates, True)
+            np.matmul(unit[tile], chunk.T, out=scores)
+            row, col, vals = _select(scores, k, hit_scores[tile, -1] if held else None)
+            # The running top k first: its ids are below the chunk's (see _best_k).
+            row = np.concatenate([np.repeat(np.arange(q), held), row])
+            col = np.concatenate([hit_ids[tile, :held].ravel(), ids[col]])
+            vals = np.concatenate([hit_scores[tile, :held].ravel(), vals])
+            hit_ids[tile], hit_scores[tile] = _best_k(row, col, vals, q, k)
+        held = k
     return hit_ids, hit_scores
 
 
 def _select(
     scores: np.ndarray, k: int, floor: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates (row, column, clipped score) of an m x c score chunk.
+    """Candidates (row, column, clipped score) of an m x c score chunk, in row-major order.
 
-    With ``floor`` None (the first chunk, c >= k), keeps every score at
+    Keeps the raw scores strictly above one bound per row, chosen so
+    that exactly the clipped scores the rule below asks for pass. With
+    ``floor`` None (the first chunk, c >= k), the rule is every score at
     or above a per-row threshold that never exceeds the row's k-th best
     score over the whole index: column j belongs to residue class j % l,
     l = min(c, max(k, SELECT_CLASSES)), and at least k classes have a
-    maximum >= the k-th largest class maximum, so that value never
-    exceeds the chunk's k-th best score. Otherwise keeps only the scores
-    strictly above ``floor``, each row's running k-th best: a later
-    chunk's ids all exceed the merged ones, so a tie with the floor
-    loses. Only the classes whose maximum passes the threshold are
-    scanned; clipping keeps order.
+    maximum >= the k-th largest class maximum t, so t never exceeds the
+    chunk's k-th best score. The bound is the float32 just below t, or
+    -inf where t clips to -1. Otherwise the rule is every score strictly
+    above ``floor``, each row's running k-th best: a later chunk's ids
+    all exceed the merged ones, so a tie with the floor loses. The bound
+    is the floor, or +inf where it is 1. The rows are compared in slices
+    of at most QUERY_TILE * SELECT_CLASSES scores (or one row), as many as
+    a full tile's class maxima, so no mask of the whole chunk is held.
     """
     m, n = scores.shape
-    classes = min(n, max(k, SELECT_CLASSES))
-    depth = n // classes
-    best = scores[:, : classes * depth].reshape(m, depth, classes).max(axis=1)
-    tail = scores[:, classes * depth :]
-    np.maximum(best[:, : tail.shape[1]], tail, out=best[:, : tail.shape[1]])
-    np.clip(best, -1.0, 1.0, out=best)
     if floor is None:
-        kth = classes - k
-        floor = np.partition(best, kth, axis=1)[:, kth].copy()  # frees the partitioned copy
-        keep = np.greater_equal
+        classes = min(n, max(k, SELECT_CLASSES))
+        depth = n // classes
+        best = scores[:, : classes * depth].reshape(m, depth, classes).max(axis=1)
+        tail = scores[:, classes * depth :]
+        np.maximum(best[:, : tail.shape[1]], tail, out=best[:, : tail.shape[1]])
+        kth = np.clip(np.partition(best, classes - k, axis=1)[:, classes - k], -1.0, 1.0)
+        bound = np.where(kth > -1.0, np.nextafter(kth, -np.inf), -np.inf)
     else:
-        keep = np.greater
-
-    # flatnonzero and divmod: ~10x faster than a 2-D nonzero at 512 x 1024.
-    row, cls = np.divmod(np.flatnonzero(keep(best, floor[:, np.newaxis])), classes)
-    col = cls[:, np.newaxis] + classes * np.arange(depth + 1)
-    inside = col < n
-    col = col[inside]
-    row = np.broadcast_to(row[:, np.newaxis], inside.shape)[inside]
-    vals = np.clip(scores[row, col], -1.0, 1.0)
-    hit = keep(vals, floor[row])
-    return row[hit], col[hit], vals[hit]
+        bound = np.where(floor < 1.0, floor, np.inf)
+    step = max(1, QUERY_TILE * SELECT_CLASSES // n)
+    flat = np.concatenate([
+        np.flatnonzero(scores[r : r + step] > bound[r : r + step, np.newaxis]) + r * n
+        for r in range(0, m, step)
+    ])
+    vals = scores.ravel()[flat]
+    return *np.divmod(flat, n), np.clip(vals, -1.0, 1.0, out=vals)
 
 
 def _best_k(
@@ -369,16 +357,15 @@ def _best_k(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The m x k ids and scores of each row's k best entries, by (-score, id).
 
-    Entry i belongs to row ``row[i]`` < m; every row has at least k entries.
-    Sorted as ``np.lexsort((ids, -vals, row))`` would, in half its time:
-    ids are unique, so any order by id will do, then a stable sort by one
-    integer key, the row and the float32 bits of the score mapped to
-    descending order (-0.0 as 0.0, which it equals).
+    Entry i belongs to row ``row[i]`` < m; every row has at least k
+    entries, and entries of equal row and score arrive in ascending id
+    order. So one stable sort gives ``np.lexsort((ids, -vals, row))``'s
+    order, by one integer key: the row and the float32 bits of the score
+    mapped to descending order (-0.0 as 0.0, which it equals).
     """
     bits = (vals + np.float32(0)).view(np.int32).astype(np.int64)
-    key = (row << 32) - (bits ^ ((bits >> 31) & 0x7FFFFFFF))
-    by_id = np.argsort(ids)
-    order = by_id[np.argsort(key[by_id], kind="stable")]
+    bits ^= (bits >> 31) & 0x7FFFFFFF
+    order = np.argsort((row << 32) - bits, kind="stable")
     counts = np.bincount(row, minlength=m)
     keep = order[((np.cumsum(counts) - counts)[:, np.newaxis] + np.arange(k)).ravel()]
     return ids[keep].reshape(m, k), vals[keep].reshape(m, k)

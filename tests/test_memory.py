@@ -9,7 +9,9 @@ chunk of rows and one score buffer of SCORE_FLOATS, for every query tile
 and chunk, so it never holds the index: over a 48 MiB float32 index its
 peak, measured with numpy 2.4.6, is 24.6 MiB (70.9 MiB when the index
 was built first), the same as over a 16 MiB one (24.6 against 38.0 MiB).
-Its older bound, the index plus 1.5 score buffers, is kept too.
+Its older bound, the index plus 1.5 score buffers, is kept too. Its
+selection scans a tile in row slices, with no mask of the whole tile,
+and where every score ties it holds a bounded peak per candidate.
 The library ``fit`` of a matrix folds it in blocks too, so it holds
 far less than its input beyond that input. A float32 file's blocks, and
 a float32 matrix's ``row_blocks`` slices, stay float32 until each
@@ -163,6 +165,42 @@ def test_search_at_a_large_top_holds_the_answer_as_arrays(inputs):
             "--top", str(top), "--out", str(d / "hits.tsv")]
     bound = rows * D * 4 + 1.5 * retrieval.SCORE_FLOATS * 4 + m * top * 12
     assert peak_bytes(cli, argv) < bound
+
+
+def test_later_chunk_selection_scans_the_tile_in_row_slices():
+    """A later chunk's ``_select`` on one full tile holds less than its class maxima.
+
+    The tile is QUERY_TILE x SCORE_FLOATS // QUERY_TILE scores (512 x
+    8192), uniform in [-1, 1), with each row's 10th best as the floor, so
+    9 scores a row pass. The bound is the 2 MiB of float32 class maxima
+    (QUERY_TILE x SELECT_CLASSES) that later chunks took while every chunk
+    was bounded by them; a boolean mask of the whole tile is 4 MiB.
+    Measured with numpy 2.4.6: 0.54 MiB; 2.95 MiB with those class maxima.
+    """
+    m = retrieval.QUERY_TILE
+    rng = np.random.default_rng(11)
+    scores = rng.random((m, retrieval.SCORE_FLOATS // m), dtype=np.float32) * 2 - 1
+    floor = np.partition(scores, -10, axis=1)[:, -10].copy()
+    bound = m * retrieval.SELECT_CLASSES * 4
+    assert scores.size > bound  # a whole-tile mask would not fit
+    assert peak_bytes(retrieval._select, scores, 10, floor) <= bound
+
+
+def test_ties_hold_a_bounded_peak_per_first_chunk_score():
+    """512 queries at k = 10 over 100 000 identical rows of width 8.
+
+    Each query scores every row the same, so all 512 x 8192 scores of the
+    first chunk are candidates, and every later chunk ties with the running
+    10th best and gives none. The bound is 64 bytes per first-chunk score
+    (256 MiB). tracemalloc peaks, measured with numpy 2.4.6: 368.1 MiB
+    (~92 B a score) when candidates were gathered by residue class and
+    sorted by id before the merge sort; 192.1 MiB (~48 B) as one
+    row-major scan, sorted once.
+    """
+    index = retrieval.build_index(np.tile(np.random.default_rng(1).standard_normal(8), (100_000, 1)))
+    queries = np.random.default_rng(2).standard_normal((retrieval.QUERY_TILE, 8))
+    first_chunk = retrieval.QUERY_TILE * (retrieval.SCORE_FLOATS // retrieval.QUERY_TILE)
+    assert peak_bytes(retrieval.top_k_batch, index, queries, 10) <= 64 * first_chunk
 
 
 def test_library_sweep_k_of_float32_pairs_holds_blocks():

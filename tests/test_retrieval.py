@@ -1,4 +1,5 @@
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -445,35 +446,66 @@ class TestTopKBatch:
     def test_later_chunks_keep_no_ties_with_the_running_floor(self, monkeypatch):
         """Identical rows: every chunk after the first ties its whole block
         with the running k-th best, whose ids are smaller, so it yields no
-        candidate; the first chunk of each tile keeps its ties."""
+        candidate; the first chunk of each tile keeps its ties. Two inputs:
+        exact scores of q[0], and a row whose float32 self-score is above 1,
+        so the running k-th best is 1.0, which the raw scores still exceed."""
         rows = small_constants(monkeypatch, tile=4, classes=4, floats=32)
-        data = np.tile([1.0, 0.0, 0.0], (5 * rows + 3, 1))  # every score is exactly q[0]
-        idx = retrieval.build_index(data)
+        exact = np.tile([1.0, 0.0, 0.0], (5 * rows + 3, 1))  # every score is exactly q[0]
         queries = np.random.default_rng(4).standard_normal((6, 3))
         queries[:, 0] = np.abs(queries[:, 0]) + 0.1
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            v = rng.standard_normal(3)
+            above = np.tile(v, (5 * rows + 3, 1))
+            unit, _ = retrieval._unit_queries(np.tile(v, (4, 1)), 3, 1)
+            if np.all(unit @ retrieval.build_index(above).vectors[:rows].T > 1.0):
+                break
+        else:
+            pytest.fail("no draw has a self-score above 1")
         seen = []
         real = retrieval._select
 
         def select(scores, k, floor):
             out = real(scores, k, floor)
-            seen.append((floor is None, out[0].size))
+            seen.append((floor is None, out[0].size, scores.min()))
             return out
 
         monkeypatch.setattr(retrieval, "_select", select)
-        hits = retrieval.top_k_batch(idx, queries, 3)
-        assert rows == 8 and len(seen) == 6 * 2  # six chunks, each scored by two tiles
-        assert all(first and count >= 3 * 4 for first, count in seen[:2])
-        assert all(not first and count == 0 for first, count in seen[2:])
-        assert np.array_equal(hits[0], [[0, 1, 2]] * 6)
+        for data, queries, score in [(exact, queries, None), (above, np.tile(v, (6, 1)), 1.0)]:
+            seen.clear()
+            ids, scores = retrieval.top_k_batch(retrieval.build_index(data), queries, 3)
+            assert rows == 8 and len(seen) == 6 * 2  # six chunks, each scored by two tiles
+            assert all(first and count >= 3 * 4 for first, count, _ in seen[:2])
+            assert all(not first and count == 0 for first, count, _ in seen[2:])
+            assert np.array_equal(ids, [[0, 1, 2]] * 6)
+            if score is not None:
+                assert all(low > 1.0 for _, _, low in seen) and np.all(scores == score)
+
+    def test_scores_below_minus_one_all_pass_at_minus_one(self):
+        """Rows antipodal to the query, one of which float32 scores below -1:
+        every row is a hit at -1.0."""
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            v = rng.standard_normal(8)
+            idx = retrieval.build_index(-v * np.array([[1.0], [3.0], [7.0]]))
+            unit, _ = retrieval._unit_queries(v[np.newaxis], 8, 3)
+            if (unit @ idx.vectors.T).min() < -1.0:
+                break
+        else:
+            pytest.fail("no draw scores below -1")
+        assert_same_hits(retrieval.top_k_batch(idx, v[np.newaxis], 3), ([[0, 1, 2]], [[-1.0] * 3]))
 
     def test_best_k_sorts_as_lexsort(self):
-        """Signed zeros and subnormal scores tie or order as floats compare."""
+        """Signed zeros and subnormal scores tie or order as floats compare.
+
+        Entries come in ascending id order, as ``_best_k`` requires of
+        entries with equal row and score."""
         rng = np.random.default_rng(5)
         m, k = 7, 240  # each row's k-th best is a zero
         row = np.concatenate([np.repeat(np.arange(m), 40), rng.integers(0, m, 3000)])
         vals = rng.choice([-1.0, -0.5, -0.0, -1e-40, 0.0, 1e-40, 0.25, 1.0], row.size)
         vals = vals.astype(np.float32)
-        ids = rng.permutation(10**6)[: row.size]
+        ids = np.sort(rng.permutation(10**6)[: row.size])
         order = np.lexsort((ids, -vals, row))
         starts = np.searchsorted(row[order], np.arange(m))
         keep = order[(starts[:, np.newaxis] + np.arange(k)).ravel()]
@@ -658,6 +690,27 @@ class TestSearchBlocks:
         retrieval.search_blocks(blocks_of(data, 4), *data.shape, queries, 2)
         assert [size for _, size in seen] == [rows] * 5 + [1]
         assert all(base is seen[0][0] for base, _ in seen) and seen[0][0].shape == (rows, 3)
+
+    def test_last_block_is_released_before_the_final_chunk_is_scored(self, monkeypatch):
+        """A lone query's chunk is the whole index; no block stays alive while it is scored."""
+        rng = np.random.default_rng(13)
+        refs = []
+
+        def tracked(block):
+            refs.append(weakref.ref(block))
+            return block
+
+        real = retrieval._select
+        alive = []
+
+        def select(scores, k, floor):
+            alive.append([ref() is not None for ref in refs])
+            return real(scores, k, floor)
+
+        monkeypatch.setattr(retrieval, "_select", select)
+        blocks = (tracked(rng.standard_normal((5, 4))) for _ in range(3))
+        retrieval.search_blocks(blocks, 15, 4, np.ones((1, 4)), 2)
+        assert alive == [[False] * 3]
 
     def test_no_queries_still_checks_every_block(self):
         nan_last = [np.ones((3, 2)), np.array([[1.0, np.nan]])]
