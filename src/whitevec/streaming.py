@@ -11,9 +11,11 @@ combination of two (count, mean, scatter) triples:
 
 ``update`` takes a row block's own mean and scatter (one GEMM) and folds
 them in; ``merge`` folds in another state. A single vector is the
-one-row block, whose scatter is zero. Storing the unscaled sum keeps the
-combination free of catastrophic cancellation, and streaming, batch and
-merged results agree up to round-off.
+one-row block, whose scatter is zero and is not added. The combination
+adds into the state's scatter in place, so its only d x d temporary is
+the outer product. Storing the unscaled sum keeps the combination free
+of catastrophic cancellation, and streaming, batch and merged results
+agree up to round-off.
 
 This module is also the one home of row input: ``as_real`` and
 ``as_rows`` check values and shapes, ``row_blocks`` slices a matrix held
@@ -29,10 +31,11 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, InvalidParameter, NonFinite
 
 REAL = (numbers.Real, np.bool_)  # numpy registers its floats and integers, not its bool
-# Rows per block wherever bulk rows are streamed: EMB1 decoding, index
-# building, pair scoring. A multiple of whitening.TILE_ROWS, so blocks
-# split into whole apply tiles.
-BLOCK_ROWS = 4096
+# Rows per block wherever bulk rows are streamed: EMB1 decoding, moments,
+# index building, pair scoring. A multiple of whitening.TILE_ROWS, so
+# blocks split into whole apply tiles, and the smallest block whose
+# scatter GEMM runs near full speed, so a block's float64 copies stay small.
+BLOCK_ROWS = 1024
 
 
 def require_int(value, name: str) -> int:
@@ -146,7 +149,7 @@ class MomentState:
         if d < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {d}")
         if m == 1:  # a single row's own scatter is zero, and its mean is the row
-            self._combine(1, block[0], 0.0)
+            self._combine(1, block[0])
             return
         with np.errstate(over="ignore", invalid="ignore"):
             mean = block.mean(axis=0, dtype=np.float64)
@@ -154,32 +157,48 @@ class MomentState:
             scatter = centered.T @ centered
         self._combine(m, mean, scatter)
 
-    def _combine(self, count: int, mean: np.ndarray, scatter) -> None:
-        """Chan combination with a partial state of ``count`` >= 1 points.
+    def _combine(self, count: int, mean: np.ndarray, scatter: np.ndarray | None = None) -> None:
+        """Chan combination, in place, with a partial state of ``count`` >= 1 points.
 
-        The only change to the state and the only finiteness check on the
-        moments: NonFinite, leaving the state unchanged, unless the combined
-        mean and scatter diagonal are finite. numpy's column sums carry a
-        NaN or Inf in the rows into the block mean and so into the combined
-        mean; BLAS worker threads do not report overflow, so it is found in
-        the result; and by Cauchy-Schwarz a scatter's diagonal bounds every
-        entry. An empty state combines as zeros: 0 + (mean - 0) * 1.0.
+        ``scatter`` None is a zero scatter (a single point). The only change
+        to the state and the only finiteness check on the moments: the
+        combined mean and scatter diagonal are formed first, in O(d), and
+        NonFinite, leaving the state unchanged, unless they are finite.
+        numpy's column sums carry a NaN or Inf in the rows into the block
+        mean and so into the combined mean; BLAS worker threads do not
+        report overflow, so it is found in the result; and by
+        Cauchy-Schwarz a scatter's diagonal bounds every entry. Only then
+        are ``scatter`` and the scaled outer product added into the state's
+        scatter, in that order: each entry is (own + scatter) + outer *
+        n_a * n_b / n, with the bits of the out-of-place sum, and the outer
+        product is the one d x d temporary. Leaving out a zero scatter changes no bit,
+        because the state's scatter never holds -0.0: it starts as zeros +
+        scatter, and a sum that is exactly zero rounds to +0.0. An empty
+        state combines as zeros: 0 + (mean - 0) * 1.0.
         """
         d = mean.shape[0]
         own_mean = np.zeros(d) if self.mean is None else self.mean
-        own_scatter = np.zeros((d, d)) if self.scatter is None else self.scatter
         total = self.count + count
+        cross = self.count * count / total
         with np.errstate(over="ignore", invalid="ignore"):
             delta = mean - own_mean
             new_mean = own_mean + delta * (count / total)
-            new_scatter = own_scatter + scatter
+            diagonal = np.zeros(d) if self.scatter is None else self.scatter.diagonal().copy()
+            if scatter is not None:
+                diagonal += scatter.diagonal()
             if self.count:
-                outer = np.outer(delta, delta)
-                outer *= self.count * count / total
-                new_scatter += outer
-        if not (np.isfinite(new_mean).all() and np.isfinite(new_scatter.diagonal()).all()):
-            raise NonFinite("rows contain NaN or Inf, or their mean or covariance overflows float64")
-        self.mean, self.scatter, self.count = new_mean, new_scatter, total
+                diagonal += delta * delta * cross
+            if not (np.isfinite(new_mean).all() and np.isfinite(diagonal).all()):
+                raise NonFinite("rows contain NaN or Inf, or their mean or covariance overflows float64")
+            if self.scatter is None:
+                self.scatter = np.zeros((d, d))
+            if scatter is not None:
+                self.scatter += scatter
+            if self.count:
+                outer = np.einsum("i,j->ij", delta, delta)
+                outer *= cross
+                self.scatter += outer
+        self.mean, self.count = new_mean, total
 
     def copy(self) -> MomentState:
         out = MomentState()

@@ -7,8 +7,9 @@ far below half of one input as float64; a command that loads an input
 whole exceeds that on its own. ``search`` streams its index through one
 chunk of rows and one score buffer of SCORE_FLOATS, for every query tile
 and chunk, so it never holds the index: over a 48 MiB float32 index its
-peak, measured with numpy 2.4.6, is 24.6 MiB (70.9 MiB when the index
-was built first), the same as over a 16 MiB one (24.6 against 38.0 MiB).
+peak, measured with numpy 2.4.6, is 23.8 MiB (71.0 MiB when the index
+was built first), about the same as over a 4 MiB one (24.2 against
+25.7 MiB).
 Its older bound, the index plus 1.5 score buffers, is kept too. Its
 selection scans a tile in row slices, with no mask of the whole tile,
 and where every score ties it holds a bounded peak per candidate.
@@ -117,21 +118,22 @@ def test_search_holds_index_and_one_score_tile(inputs):
 
 
 def test_search_streams_an_index_larger_than_its_bound(inputs):
-    """`search` never holds its index: 1536 queries over a 48-block float32 index.
+    """`search` never holds its index: 1536 queries over a 48 MiB float32 index.
 
-    The command holds the queries, the answer, one chunk of index rows
+    The index is 196 608 rows of width 64, written in BLOCK_ROWS-row
+    blocks. The command holds the queries, the answer, one chunk of index rows
     (8192 x 64 float32, 2 MiB) and the 16 MiB score buffer. The bound,
     1.5 score buffers and 4 chunks (32 MiB), is below the index's 48 MiB,
-    so holding the index fails it. Measured with numpy 2.4.6: 24.6 MiB;
-    70.9 MiB where the index was built before the search.
+    so holding the index fails it. Measured with numpy 2.4.6: 23.8 MiB;
+    71.0 MiB where the index was built before the search.
     """
     d = inputs
-    blocks = 48
-    rows = blocks * streaming.BLOCK_ROWS
+    rows = 196_608
     rng = np.random.default_rng(10)
     fileio.write_emb1_blocks(
         d / "large32.emb1",
-        (rng.standard_normal((streaming.BLOCK_ROWS, D), dtype=np.float32) for _ in range(blocks)),
+        (rng.standard_normal((min(streaming.BLOCK_ROWS, rows - start), D), dtype=np.float32)
+         for start in range(0, rows, streaming.BLOCK_ROWS)),
         rows, D, dtype="float32",
     )
     m = fileio.read_emb1_header(d / "query.emb1").count
@@ -217,6 +219,31 @@ def test_library_sweep_k_of_float32_pairs_holds_blocks():
 def test_library_fit_holds_blocks_not_a_centred_copy():
     x = np.random.default_rng(4).standard_normal((N, D))
     assert peak_bytes(whitening.fit, x, 16) < INPUT_BYTES / 2
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_moment_update_adds_into_the_state_scatter(rows):
+    """An update of a state that holds rows makes one d x d temporary, the outer product.
+
+    At d = 512 the state's scatter is one d x d float64 square (2 MiB).
+    A one-row update is bound at 1.5 squares; a 64-row block, whose own
+    scatter is a second square, at 3 squares plus the block's float64
+    copy. Measured with numpy 2.4.6: 1.01 and 2.13 squares; 2.07 and
+    3.19 when each combination built ``own + scatter`` and then the
+    outer product as new arrays.
+    """
+    d = 512
+    rng = np.random.default_rng(12)
+    state = streaming.MomentState()
+    state.update(rng.standard_normal((3, d)))
+    square = d * d * 8
+    if rows == 1:
+        x, bound = rng.standard_normal(d), 1.5 * square
+    else:
+        x = rng.standard_normal((rows, d))
+        bound = 3 * square + x.nbytes
+    assert peak_bytes(state.update, x) < bound
+    assert state.count == 3 + rows
 
 
 RSS_ROWS, RSS_DIM = 20_000, 256

@@ -67,6 +67,49 @@ def test_gaussian_matches_batch_functions():
     assert np.max(np.abs(cov - batch_cov)) <= 1e-10
 
 
+def chan_steps(rows):
+    """(count, mean, scatter) after each row, by the out-of-place Chan combination.
+
+    Each step builds new arrays, with a one-row block's zero scatter
+    added as 0.0: scatter = (own + 0.0) + outer(delta, delta) * c.
+    """
+    d = rows.shape[1]
+    count, mean, scatter = 0, np.zeros(d), np.zeros((d, d))
+    for x in rows:
+        total = count + 1
+        delta = x - mean
+        new_mean = mean + delta * (1 / total)
+        new_scatter = scatter + 0.0
+        if count:
+            new_scatter = new_scatter + np.outer(delta, delta) * (count * 1 / total)
+        count, mean, scatter = total, new_mean, new_scatter
+        yield count, mean, scatter
+
+
+def test_row_updates_equal_the_out_of_place_combination_bit_for_bit():
+    # Half-integer rows give exact zeros, negative coordinates, repeated
+    # rows and sums that cancel to exactly zero; the normal rows do not.
+    # While column 3 is zero, its outer products with negative deltas
+    # are -0.0, added to a scatter of +0.0.
+    rng = np.random.default_rng(21)
+    rows = np.concatenate([rng.integers(-3, 4, (300, 5)) / 2, rng.standard_normal((100, 5))])
+    rows[150:160] = rows[149]
+    rows[:40, 3] = 0.0
+    rows[:, 4] = -np.abs(rows[:, 4])
+    state = streaming.MomentState()
+    zero_sums = 0
+    for x, (count, mean, scatter) in zip(rows, chan_steps(rows)):
+        state.update(x)
+        assert state.count == count
+        assert np.array_equal(state.mean, mean) and np.array_equal(state.scatter, scatter)
+        # array_equal takes -0.0 for 0.0; the bytes tell them apart.
+        assert state.mean.tobytes() == mean.tobytes()
+        assert state.scatter.tobytes() == scatter.tobytes()
+        if count > 1:
+            zero_sums += np.count_nonzero(scatter == 0)
+    assert zero_sums > 0
+
+
 class TestBlockUpdate:
     def test_block_matches_rows(self):
         rng = np.random.default_rng(4)

@@ -3,9 +3,11 @@
 ``streaming`` is a leaf that owns every rule for row input; ``whitening``
 is the transform alone; ``retrieval`` scores rows without fitting them;
 ``cli`` writes every command's text through one function, ``_emit``.
+The documents state the block size that ``streaming`` sets.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from whitevec import streaming, whitening
@@ -66,6 +68,19 @@ def test_row_input_is_defined_in_streaming_alone():
 
 def test_blocks_split_into_whole_apply_tiles():
     assert streaming.BLOCK_ROWS % whitening.TILE_ROWS == 0
+
+
+def test_docs_state_the_block_size_streaming_sets():
+    """Every "N-row block" or "N-row slice" and every "BLOCK_ROWS (N)" in
+    README.md and docs/*.md names streaming.BLOCK_ROWS."""
+    root = SRC.parents[1]
+    pattern = re.compile(r"(\d+)-row\s+(?:block|slice)|BLOCK_ROWS`?\)?\s+\((\d+)")
+    found = {}
+    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        for match in pattern.finditer(doc.read_text(encoding="utf-8")):
+            found.setdefault(int(match.group(1) or match.group(2)), []).append(doc.name)
+    assert found, "no block size stated in the documents"
+    assert set(found) == {streaming.BLOCK_ROWS}, found
 
 
 def test_cli_text_output_goes_through_emit():
