@@ -18,40 +18,35 @@ from .errors import DimensionMismatch, NonFinite, WhitevecError
 from .whitening import FULL
 
 
-def _k_arg(value: str):
-    if value == FULL:
-        return FULL
-    try:
-        k = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"k must be a positive integer or 'full', got {value!r}")
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"k must be >= 1, got {k}")
-    return k
+def _flag(kind, check):
+    """An argparse ``type``: the text as ``kind``, then the library's ``check`` of it.
+
+    Text that does not parse as ``kind`` goes to ``check`` as it is, so
+    the check's message names it; the check's WhitevecError becomes a
+    usage error (exit 2), raised before any file is read.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = text
+        try:
+            return check(value)
+        except WhitevecError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
+
+
+_k_flag = _flag(int, whitening.require_k)
 
 
 def _ks_arg(value: str):
-    ks = [_k_arg(tok.strip()) for tok in value.split(",") if tok.strip()]
+    ks = [_k_flag(tok.strip()) for tok in value.split(",") if tok.strip()]
     if not ks:
         raise argparse.ArgumentTypeError(f"expected at least one k, got {value!r}")
     return ks
-
-
-def _int_at_least(minimum: int):
-    def integer(value: str) -> int:
-        n = int(value)
-        if n < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {n}")
-        return n
-
-    return integer
-
-
-def _eps_arg(value: str) -> float:
-    eps = float(value)
-    if not whitening.valid_eps(eps):
-        raise argparse.ArgumentTypeError(f"eps must be finite and >= 0, got {value!r}")
-    return eps
 
 
 def _emit(texts, out_path) -> None:
@@ -226,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a whitening transform from an EMB1 file")
     p.add_argument("--input", required=True, help="EMB1 embedding file to fit on")
-    p.add_argument("--k", type=_k_arg, required=True, help="output dim or 'full'")
-    p.add_argument("--eps", type=_eps_arg, default=None, help="rank tolerance override")
+    p.add_argument("--k", type=_k_flag, required=True, help="output dim or 'full'")
+    p.add_argument("--eps", type=_flag(float, whitening.require_eps), default=None,
+                   help="rank tolerance override")
     p.add_argument("--out", required=True, help="destination transform JSON")
     p.set_defaults(func=cmd_fit)
 
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--transform", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dtype", choices=["float32", "float64"], default="float64")
+    p.add_argument("--dtype", choices=fileio.DTYPE_CODES, default="float64")
     p.set_defaults(func=cmd_transform)
 
     def add_eval_inputs(p):
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_eval_inputs(p)
     p.add_argument(
         "--k",
-        type=_k_arg,
+        type=_k_flag,
         default=None,
         help="whitening output dim or 'full'; omit to evaluate raw embeddings",
     )
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--index", required=True, help="EMB1 file to search over")
         p.add_argument("--transform", default=None, help="optional transform JSON")
         p.add_argument("--query", required=True, help="EMB1 file of queries")
-        p.add_argument("--top", type=_int_at_least(1), default=10)
+        p.add_argument("--top", type=_flag(int, retrieval.require_k_results), default=10)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("search", help="exact top-k cosine search")
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="throughput benchmark for exact search")
     add_search_inputs(p)
-    p.add_argument("--reps", type=_int_at_least(retrieval.MIN_REPETITIONS), default=5)
+    p.add_argument("--reps", type=_flag(int, retrieval.require_repetitions), default=5)
     p.set_defaults(func=cmd_bench)
 
     return parser

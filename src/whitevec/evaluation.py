@@ -212,18 +212,14 @@ def fit_corpus(data: PairedDataset) -> MomentState:
 def sweep_transforms(fit_data: MomentState, ks) -> list[WhiteningTransform]:
     """One full-rank fit of ``fit_data``, truncated to each entry of ``ks``.
 
-    ``ks`` holds "full" and integers, which must pass ``require_k``
-    before the fit. Entries above the numerical rank are left out.
-    Truncation consistency guarantees each transform matches a
+    Every entry of ``ks`` must pass ``require_k`` before the fit. Integer
+    entries above the numerical rank are left out; "full" keeps the whole
+    fit. Truncation consistency guarantees each transform matches a
     separately fitted one of the same k.
     """
-    ks = [k if k == FULL else require_k(k) for k in ks]
+    ks = [require_k(k) for k in ks]
     full = whitening.fit_from_moments(fit_data, k=FULL)
-    return [
-        whitening.truncate(full, full.output_dim if k == FULL else k)
-        for k in ks
-        if k == FULL or k <= full.output_dim
-    ]
+    return [whitening.truncate(full, k) for k in ks if k == FULL or k <= full.output_dim]
 
 
 def sweep_k(

@@ -160,17 +160,20 @@ def write_atomic(path, chunks: Iterable) -> None:
             for chunk in chunks:
                 f.write(chunk)
         return
-    path = os.path.realpath(path)
-    head, tail = os.path.split(path)
+    real = os.path.realpath(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    f = open(tmp, "xb")
+    try:
+        f = open(tmp, "xb")
+    except OSError as e:  # named for ``path``: the temporary name changes every call
+        raise type(e)(e.errno, e.strerror, path) from None
     try:
         with f:
             for chunk in chunks:
                 f.write(chunk)
         with contextlib.suppress(FileNotFoundError):
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(tmp, path)
+            os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
+        os.replace(tmp, real)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -188,7 +191,8 @@ def write_emb1_blocks(
     is refused, not written as Inf), and the blocks must hold exactly
     ``count`` rows in total. ``count`` and ``dim`` must be integers
     (InvalidParameter) that fit the header's u64 and u32 fields, with
-    ``dim >= 1`` (SchemaMismatch), before anything is written. Any
+    ``dim >= 1`` (SchemaMismatch), and ``dtype`` must be one of the
+    ``DTYPE_CODES`` strings (SchemaMismatch), before anything is written. Any
     failure leaves ``path`` as it was (see ``write_atomic``).
     """
     count = require_int(count, "count")
@@ -197,7 +201,7 @@ def write_emb1_blocks(
         raise SchemaMismatch(f"EMB1 row count must be in [0, 2**64), got {count}")
     if not 1 <= dim < 2**32:
         raise SchemaMismatch(f"EMB1 row dim must be in [1, 2**32), got {dim}")
-    if dtype not in DTYPE_CODES:
+    if not (isinstance(dtype, str) and dtype in DTYPE_CODES):
         raise SchemaMismatch(f"dtype must be float32 or float64, got {dtype!r}")
     code = DTYPE_CODES[dtype]
     header = HEADER.pack(MAGIC, VERSION, count, dim, code, b"\x00" * 11)

@@ -218,10 +218,10 @@ def top_k_batch(
 
     Returns ``(ids, scores)``, int64 and float32 m x k arrays, k =
     ``min(k_results, index.size)``: query i's hits in row i, by descending
-    score, then ascending id. Raises DimensionMismatch for a wrong shape
-    or ``k_results < 1``, NonFinite for NaN/Inf or a norm beyond float64,
-    ZeroVector for a zero-norm query and InvalidParameter for a
-    ``k_results`` that is not an integer, before any scoring.
+    score, then ascending id. Raises DimensionMismatch for a wrong shape,
+    NonFinite for NaN/Inf or a norm beyond float64 and ZeroVector for a
+    zero-norm query, then what ``require_k_results`` raises, before any
+    scoring.
     """
     unit, k_results = _unit_queries(queries, index.dim, k_results)
     rows = _chunk_rows(unit.shape[0], k_results)
@@ -253,17 +253,30 @@ def search_blocks(
     return _top_k_chunks(unit, _unit_chunks(blocks, count, dim, rows), k_results)
 
 
+def require_k_results(k_results) -> int:
+    """Hits asked for per query, as an int: InvalidParameter unless an integer,
+    DimensionMismatch below 1."""
+    k_results = require_int(k_results, "k_results")
+    if k_results < 1:
+        raise DimensionMismatch(f"k_results must be >= 1, got {k_results}")
+    return k_results
+
+
 def _unit_queries(queries, dim: int, k_results) -> tuple[np.ndarray, int]:
-    """(unit float32 queries, k_results as an int), checked as ``top_k_batch`` states."""
+    """(unit float32 queries, k_results as an int), checked as ``top_k_batch`` states.
+
+    Each query is divided by its float64 norm straight into float32, as
+    ``_unit_chunks`` divides index rows.
+    """
     queries = as_rows(queries, dim, "queries")
     qnorms, nonzero = row_norms(queries)
     zero = np.flatnonzero(~nonzero)
     if zero.size:
         raise ZeroVector(f"zero-norm query at row {zero[0]}")
-    k_results = require_int(k_results, "k_results")
-    if k_results < 1:
-        raise DimensionMismatch(f"k_results must be >= 1, got {k_results}")
-    return (queries / qnorms[:, np.newaxis]).astype(np.float32), k_results
+    k_results = require_k_results(k_results)
+    unit = np.empty(queries.shape, dtype=np.float32)
+    np.divide(queries, qnorms[:, np.newaxis], out=unit, casting="same_kind")
+    return unit, k_results
 
 
 def _chunk_rows(queries: int, k_results: int) -> int:
@@ -371,6 +384,15 @@ def _best_k(
     return ids[keep].reshape(m, k), vals[keep].reshape(m, k)
 
 
+def require_repetitions(repetitions) -> int:
+    """Passes over the queries, as an int: InvalidParameter unless an integer,
+    EmptyInput below MIN_REPETITIONS."""
+    repetitions = require_int(repetitions, "repetitions")
+    if repetitions < MIN_REPETITIONS:
+        raise EmptyInput(f"repetitions must be >= {MIN_REPETITIONS}, got {repetitions}")
+    return repetitions
+
+
 def benchmark(
     index: CosineIndex,
     queries: np.ndarray,
@@ -386,15 +408,14 @@ def benchmark(
     more slowly with d and adds a fixed selection cost per query. Every
     query of every repetition is one sample, and the rate is the inverse
     of their median, so a burst of other load that slows a few queries
-    does not move it. ``repetitions`` is an integer of at least
-    MIN_REPETITIONS.
+    does not move it. ``queries`` must hold at least one row (EmptyInput)
+    and ``repetitions`` pass ``require_repetitions``; ``k_results`` is
+    checked by the first query's ``top_k``.
     """
     queries = as_rows(queries, None, "queries")
     if queries.shape[0] == 0:
         raise EmptyInput("benchmark needs at least one query")
-    repetitions = require_int(repetitions, "repetitions")
-    if repetitions < MIN_REPETITIONS:
-        raise EmptyInput(f"repetitions must be >= {MIN_REPETITIONS}, got {repetitions}")
+    repetitions = require_repetitions(repetitions)
 
     times = []
     for _ in range(repetitions):

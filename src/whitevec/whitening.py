@@ -43,7 +43,7 @@ class WhiteningTransform:
     (``as_real``) raise InvalidParameter; a matrix that is not d x k with
     d, k >= 1, or a mean that is not one value per matrix row,
     DimensionMismatch; a NaN or Inf value, NonFinite. ``fit_count`` must
-    be an integer >= 1 and ``eps`` pass ``valid_eps`` (InvalidParameter);
+    be an integer >= 1 (InvalidParameter) and ``eps`` pass ``require_eps``;
     they are stored as ``int`` and ``float``.
     """
 
@@ -64,14 +64,13 @@ class WhiteningTransform:
         fit_count = require_int(self.fit_count, "fit_count")
         if fit_count < 1:
             raise InvalidParameter(f"fit_count must be >= 1, got {fit_count}")
-        if not valid_eps(self.eps):
-            raise InvalidParameter(f"eps must be a finite number >= 0, got {self.eps!r}")
+        eps = require_eps(self.eps)
         mean.setflags(write=False)
         matrix.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "fit_count", fit_count)
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "eps", eps)
 
     @property
     def input_dim(self) -> int:
@@ -94,21 +93,28 @@ def default_eps(cov: np.ndarray) -> float:
     return float(np.sum(EPS_SCALE * np.diagonal(cov))) / cov.shape[0]
 
 
-def valid_eps(eps) -> bool:
-    """True for a finite real number >= 0 that is not a bool.
+def require_eps(eps) -> float:
+    """A rank tolerance as a float: InvalidParameter unless a finite real number >= 0.
 
-    An integer too large for float64 is not finite here.
+    A bool is not a number here, and an integer too large for float64 is not finite.
     """
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
-        return False
     try:
-        return math.isfinite(eps) and eps >= 0
+        if not isinstance(eps, bool) and isinstance(eps, numbers.Real) and eps >= 0:
+            if math.isfinite(eps):
+                return float(eps)
     except OverflowError:
-        return False
+        pass
+    raise InvalidParameter(f"eps must be a finite number >= 0, got {eps!r}")
 
 
-def require_k(k) -> int:
-    """A requested k as an int: InvalidParameter unless an integer, DimensionMismatch below 1."""
+def require_k(k):
+    """A requested k: FULL for the string "full", else an int >= 1.
+
+    The one check of a requested k. InvalidParameter unless "full" or an
+    integer (a bool or an array is neither), DimensionMismatch below 1.
+    """
+    if isinstance(k, str) and k == FULL:
+        return FULL
     k = require_int(k, "k")
     if k < 1:
         raise DimensionMismatch(f"k must be >= 1, got {k}")
@@ -135,16 +141,14 @@ def fit_from_moments(state: MomentState, k, eps: float | None = None) -> Whiteni
     the rank only if it exceeds ``max(eps, d * machine_eps * lam_max)``:
     at or below that its inverse square root amplifies round-off. Asking
     for more than the rank raises RankDeficient rather than silently
-    truncating, and so does "full" at rank 0. ``k`` must be "full" or
-    pass ``require_k``, ``eps`` pass ``valid_eps`` (InvalidParameter
-    otherwise), and ``state`` be a ``MomentState``.
+    truncating, and so does "full" at rank 0. ``k`` must pass
+    ``require_k``, ``eps`` be None or pass ``require_eps``, and ``state``
+    be a ``MomentState`` (InvalidParameter).
     """
     if not isinstance(state, MomentState):
         raise InvalidParameter(f"expected a MomentState, got {type(state).__name__}")
-    if eps is not None and not valid_eps(eps):
-        raise InvalidParameter(f"eps must be a finite number >= 0, got {eps!r}")
-    if k != FULL:
-        k = require_k(k)
+    eps = None if eps is None else require_eps(eps)
+    k = require_k(k)
     n, d = state.count, state.dim
     if n < 2:
         raise EmptyInput(f"fitting requires at least 2 rows, got {n}")
@@ -168,16 +172,17 @@ def fit_from_moments(state: MomentState, k, eps: float | None = None) -> Whiteni
     return WhiteningTransform(mean=mean, matrix=matrix, fit_count=n, eps=eps)
 
 
-def truncate(t: WhiteningTransform, k: int) -> WhiteningTransform:
+def truncate(t: WhiteningTransform, k) -> WhiteningTransform:
     """First-k-columns view of a fitted transform (bit-identical columns).
 
-    ``k`` must pass ``require_k`` and be at most ``output_dim`` (RankDeficient).
+    ``k`` must pass ``require_k`` and be at most ``output_dim``
+    (RankDeficient). "full" and ``output_dim`` keep every column: ``t`` itself.
     """
     k = require_k(k)
+    if k == FULL or k == t.output_dim:
+        return t
     if k > t.output_dim:
         raise RankDeficient(k, t.output_dim)
-    if k == t.output_dim:
-        return t
     return WhiteningTransform(
         mean=t.mean, matrix=t.matrix[:, :k], fit_count=t.fit_count, eps=t.eps
     )

@@ -94,6 +94,51 @@ def test_missing_file_is_runtime_error(workdir, capsys):
     assert code == 1
 
 
+def test_missing_out_directory_names_the_out_path(workdir, capsys):
+    """Not the temporary file beside it, whose name changes on every run."""
+    out = workdir / "missing" / "w.json"
+    assert run(["fit", "--input", str(workdir / "data.emb1"), "--k", "2",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IOError:") and str(out) in err and ".tmp" not in err
+
+
+FLAG_CHECKS = {
+    "--k": whitening.require_k,
+    "--eps": whitening.require_eps,
+    "--top": retrieval.require_k_results,
+    "--reps": retrieval.require_repetitions,
+}
+
+
+FLAG_VALUES = [
+    ("--k", "0", 0), ("--k", "abc", "abc"), ("--k", "1.5", "1.5"),
+    ("--eps", "-1", -1.0), ("--eps", "nan", float("nan")), ("--eps", "abc", "abc"),
+    ("--top", "0", 0), ("--top", "x", "x"), ("--reps", "2", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, text, value", FLAG_VALUES, ids=[f"{f}={t}" for f, t, _ in FLAG_VALUES]
+)
+def test_flag_usage_error_carries_the_library_message(tmp_path, flag, text, value, capsys):
+    """Each flag's value is checked by the library's check of the parsed
+    value (the text itself where it does not parse), before any file is read."""
+    with pytest.raises(errors.WhitevecError) as raised:
+        FLAG_CHECKS[flag](value)
+    none = str(tmp_path / "none")
+    command = {
+        "--k": ["fit", "--input", none, "--out", none],
+        "--eps": ["fit", "--input", none, "--k", "full", "--out", none],
+        "--top": ["search", "--index", none, "--query", none],
+        "--reps": ["bench", "--index", none, "--query", none],
+    }[flag]
+    with pytest.raises(SystemExit) as exc:
+        run([*command, f"{flag}={text}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {flag}: {raised.value}")
+
+
 def test_transform_roundtrip(workdir):
     wpath = workdir / "w.json"
     run(["fit", "--input", str(workdir / "data.emb1"), "--k", "full", "--out", str(wpath)])

@@ -280,7 +280,7 @@ class TestSweep:
         with pytest.raises(errors.InvalidParameter):
             evaluation.sweep_k(data, [2], fit_data=np.vstack([data.left, data.right]))
 
-    @pytest.mark.parametrize("bad", ["abc", 2.5, True])
+    @pytest.mark.parametrize("bad", ["abc", 2.5, True, np.array([1, 2]), np.array(["full"])])
     def test_non_integer_k_rejected_before_fitting(self, bad):
         rng = np.random.default_rng(15)
         data = self.make_anisotropic(rng)

@@ -491,6 +491,13 @@ class TestBlockWriter:
             fileio.write_emb1_blocks(tmp_path / "out.emb1", [], count, dim)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("dtype", ["float16", ["float32"]], ids=["float16", "list"])
+    def test_dtype_other_than_a_code_string_refused(self, tmp_path, dtype):
+        """Only the DTYPE_CODES strings name an output dtype; an unhashable one is refused too."""
+        with pytest.raises(errors.SchemaMismatch, match="dtype must be float32 or float64"):
+            fileio.write_emb1(tmp_path / "out.emb1", np.eye(2), dtype=dtype)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.filterwarnings("error")
     def test_float32_overflow_refused(self, tmp_path):
         """A finite float64 beyond the float32 range would be written as Inf."""

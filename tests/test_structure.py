@@ -2,7 +2,8 @@
 
 ``streaming`` is a leaf that owns every rule for row input; ``whitening``
 is the transform alone; ``retrieval`` scores rows without fitting them;
-``cli`` writes every command's text through one function, ``_emit``.
+``cli`` writes every command's text through one function, ``_emit``,
+and leaves every flag's value to the library's check of it.
 The documents state the block size that ``streaming`` sets.
 """
 
@@ -104,3 +105,20 @@ def test_cli_text_output_goes_through_emit():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
     ]
     assert prints and all(any(kw.arg == "file" for kw in node.keywords) for node in prints)
+
+
+def test_cli_keeps_no_value_rule_of_its_own():
+    """``cli`` raises argparse.ArgumentTypeError only in ``_flag``, which turns
+    a library check's WhitevecError into it, and in ``_ks_arg`` ("at least one k")."""
+    tree = parse("cli")
+    owner = {
+        id(node): f.name
+        for f in tree.body if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+    }
+    raises = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "ArgumentTypeError" in ast.unparse(node.exc)
+    ]
+    assert {owner.get(id(node)) for node in raises} == {"_flag", "_ks_arg"}

@@ -142,7 +142,7 @@ class TestFit:
         with pytest.raises(errors.InvalidParameter):
             whitening.fit(FOUR_POINTS, k="full", eps=eps)
 
-    @pytest.mark.parametrize("k", ["abc", 2.7, 2.0, True])
+    @pytest.mark.parametrize("k", ["abc", 2.7, 2.0, True, np.array([1, 2]), np.array(["full"])])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(errors.InvalidParameter):
             whitening.fit(FOUR_POINTS, k=k)
@@ -156,7 +156,7 @@ class TestFit:
         assert t.output_dim == 1 and type(t.output_dim) is int
         assert whitening.truncate(whitening.fit(FOUR_POINTS, k="full"), np.int32(1)).output_dim == 1
 
-    @pytest.mark.parametrize("k", [2.5, 1.0, True, "1"])
+    @pytest.mark.parametrize("k", [2.5, 1.0, True, "1", np.array([1, 2])])
     def test_truncate_non_integer_k_rejected(self, k):
         with pytest.raises(errors.InvalidParameter):
             whitening.truncate(whitening.fit(FOUR_POINTS, k="full"), k)
@@ -209,6 +209,7 @@ class TestFit:
             part = whitening.fit(x, k=k)
             assert np.array_equal(part.matrix, full.matrix[:, :k])
             assert np.array_equal(part.mean, full.mean)
+        assert whitening.truncate(full, "full") is full
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
