@@ -14,12 +14,14 @@ so it never holds the index. Queries are answered in tiles of up to
 ``QUERY_TILE``; chunks hold SCORE_FLOATS // m rows for tiles of m
 queries, and each chunk is scored against every tile in turn, as
 ``tile @ chunk.T`` into one reused float32 buffer of ``SCORE_FLOATS``, so
-the buffer does not grow with the index. Each tile keeps the scores of
-a chunk strictly above one bound per query, found in one row-major scan,
-so they come out in (row, id) order; they are clipped to [-1, 1]. The
-first chunk's bound lets through every score at or above its k-th
-largest residue-class maximum, which never exceeds the query's final
-k-th best score. A later chunk's bound is the query's running k-th best:
+the buffer does not grow with the index. The buffer is kept small by
+short tiles, not short chunks: each chunk costs every tile one merge
+into its running top k. Each tile keeps the scores of a chunk strictly
+above one bound per query, found in one row-major scan, so they come
+out in (row, id) order; they are clipped to [-1, 1]. The first chunk's
+bound lets through every score at or above its k-th largest
+residue-class maximum, which never exceeds the query's final k-th best
+score. A later chunk's bound is the query's running k-th best:
 its rows have larger ids than every row merged so far (ids ascend), so a
 score equal to that floor can never displace one of them. After every
 chunk each tile's candidates are merged into its rows of the answer, the
@@ -47,11 +49,13 @@ ZERO_NORM = 1e-30
 # Queries per tile. Scored queries x index rows, threaded OpenBLAS sgemm
 # keeps few packing buffers resident (index x queries kept ~44 MB at
 # n = 100k, d = 256).
-QUERY_TILE = 512
-# Floats in the one score buffer (16 MiB): a tile of m queries is scored
-# against chunks of SCORE_FLOATS // m index rows, 8192 at m = 512 and the
-# whole of an index of up to 4 Mi rows at m = 1.
-SCORE_FLOATS = 4 * 2**20
+QUERY_TILE = 256
+# Floats in the one score buffer (8 MiB): a tile of m queries is scored
+# against chunks of SCORE_FLOATS // m index rows, 8192 at m = 256 and the
+# whole of an index of up to 2 Mi rows at m = 1. The buffer shrinks by the
+# tile, not the chunk: every chunk merges m x k running hits per tile, so
+# shorter chunks would add merge work, while a shorter tile adds none.
+SCORE_FLOATS = 2 * 2**20
 # Residue classes whose maxima bound the k-th best score of the first chunk
 # (see _select); chunks are a multiple of this many rows, and at least k rows.
 SELECT_CLASSES = 1024

@@ -111,11 +111,15 @@ def require_k(k):
     """A requested k: FULL for the string "full", else an int >= 1.
 
     The one check of a requested k. InvalidParameter unless "full" or an
-    integer (a bool or an array is neither), DimensionMismatch below 1.
+    integer (a bool or an array is neither), with a message that names
+    both forms; DimensionMismatch below 1.
     """
     if isinstance(k, str) and k == FULL:
         return FULL
-    k = require_int(k, "k")
+    try:
+        k = require_int(k, "k")
+    except InvalidParameter:
+        raise InvalidParameter(f"k must be an integer >= 1 or {FULL!r}, got {k!r}") from None
     if k < 1:
         raise DimensionMismatch(f"k must be >= 1, got {k}")
     return k

@@ -139,6 +139,24 @@ def test_flag_usage_error_carries_the_library_message(tmp_path, flag, text, valu
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {flag}: {raised.value}")
 
 
+@pytest.mark.parametrize("command, flag", [("fit", "--k=abc"), ("eval", "--k=abc"),
+                                           ("sweep", "--ks=4,abc")])
+def test_k_usage_error_names_full(tmp_path, command, flag, capsys):
+    """A k that is not an integer is refused with a message naming both
+    accepted forms, an integer >= 1 and 'full'."""
+    none = str(tmp_path / "none")
+    inputs = {
+        "fit": ["--input", none, "--out", none],
+        "eval": ["--left", none, "--right", none, "--gold", none],
+        "sweep": ["--left", none, "--right", none, "--gold", none],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *inputs, flag])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("k must be an integer >= 1 or 'full', got 'abc'"), last
+
+
 def test_transform_roundtrip(workdir):
     wpath = workdir / "w.json"
     run(["fit", "--input", str(workdir / "data.emb1"), "--k", "full", "--out", str(wpath)])

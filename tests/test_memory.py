@@ -7,9 +7,10 @@ far below half of one input as float64; a command that loads an input
 whole exceeds that on its own. ``search`` streams its index through one
 chunk of rows and one score buffer of SCORE_FLOATS, for every query tile
 and chunk, so it never holds the index: over a 48 MiB float32 index its
-peak, measured with numpy 2.4.6, is 23.8 MiB (71.0 MiB when the index
-was built first), about the same as over a 4 MiB one (24.2 against
-25.7 MiB).
+peak, measured with numpy 2.4.6, is 13.3 MiB (60.2 MiB when the index
+was built first), about the same as over a 4 MiB one (13.3 against
+14.8 MiB). With 512-query tiles and a 16 MiB score buffer these were
+24.0, 70.9, 24.0 and 25.5 MiB.
 Its older bound, the index plus 1.5 score buffers, is kept too. Its
 selection scans a tile in row slices, with no mask of the whole tile,
 and where every score ties it holds a bounded peak per candidate.
@@ -118,14 +119,17 @@ def test_search_holds_index_and_one_score_tile(inputs):
 
 
 def test_search_streams_an_index_larger_than_its_bound(inputs):
-    """`search` never holds its index: 1536 queries over a 48 MiB float32 index.
+    """`search` never holds its index: 3 tiles of queries over a 48 MiB float32 index.
 
     The index is 196 608 rows of width 64, written in BLOCK_ROWS-row
     blocks. The command holds the queries, the answer, one chunk of index rows
-    (8192 x 64 float32, 2 MiB) and the 16 MiB score buffer. The bound,
-    1.5 score buffers and 4 chunks (32 MiB), is below the index's 48 MiB,
-    so holding the index fails it. Measured with numpy 2.4.6: 23.8 MiB;
-    71.0 MiB where the index was built before the search.
+    (8192 x 64 float32, 2 MiB) and the 8 MiB score buffer. The bound,
+    1.5 score buffers and 4 chunks (20 MiB), is below the index's 48 MiB,
+    so holding the index fails it. The peak must also stay below 16 MiB,
+    the score buffer of 512-query tiles alone. Measured with numpy 2.4.6:
+    13.3 MiB (768 queries); 60.2 MiB where the index was built before the
+    search. With 512-query tiles and a 16 MiB buffer, 1536 queries peaked
+    at 24.0 MiB.
     """
     d = inputs
     rows = 196_608
@@ -143,7 +147,9 @@ def test_search_streams_an_index_larger_than_its_bound(inputs):
     argv = ["search", "--index", str(d / "large32.emb1"), "--query", str(d / "query.emb1"),
             "--top", "10", "--out", str(d / "hits.tsv")]
     try:
-        assert peak_bytes(cli, argv) < bound
+        peak = peak_bytes(cli, argv)
+        assert peak < bound
+        assert peak < 16 * 2**20
     finally:
         (d / "large32.emb1").unlink()
 
@@ -152,11 +158,12 @@ def test_search_at_a_large_top_holds_the_answer_as_arrays(inputs):
     """Many queries at a large --top hold two m x top arrays, 12 bytes a hit.
 
     The index is one chunk of SELECT_CLASSES rows, so its score buffer is
-    m x 1024 floats (2 MiB) and the rest of the 1.5 score buffers covers
-    one tile's selection. 1536 queries at --top 256 are 393 216 hits
-    (4.5 MiB as arrays); the bound is 28.8 MiB. Measured with numpy
-    2.4.6: 22.0 MiB. Held as (id, score) tuples and then as TSV lines
-    before one joined write, the same hits peaked at 72.6 MiB.
+    a tile's 256 x 1024 floats (1 MiB) and the rest of the 1.5 score
+    buffers covers one tile's selection. 768 queries at --top 256 are
+    196 608 hits (2.25 MiB as arrays); the bound is 14.5 MiB. Measured
+    with numpy 2.4.6: 8.1 MiB; 15.9 MiB for 1536 queries in 512-query
+    tiles. Held as (id, score) tuples and then as TSV lines before one
+    joined write, 1536 queries' hits peaked at 72.6 MiB.
     """
     d = inputs
     rows, top = retrieval.SELECT_CLASSES, 256
@@ -172,12 +179,13 @@ def test_search_at_a_large_top_holds_the_answer_as_arrays(inputs):
 def test_later_chunk_selection_scans_the_tile_in_row_slices():
     """A later chunk's ``_select`` on one full tile holds less than its class maxima.
 
-    The tile is QUERY_TILE x SCORE_FLOATS // QUERY_TILE scores (512 x
+    The tile is QUERY_TILE x SCORE_FLOATS // QUERY_TILE scores (256 x
     8192), uniform in [-1, 1), with each row's 10th best as the floor, so
-    9 scores a row pass. The bound is the 2 MiB of float32 class maxima
+    9 scores a row pass. The bound is the 1 MiB of float32 class maxima
     (QUERY_TILE x SELECT_CLASSES) that later chunks took while every chunk
-    was bounded by them; a boolean mask of the whole tile is 4 MiB.
-    Measured with numpy 2.4.6: 0.54 MiB; 2.95 MiB with those class maxima.
+    was bounded by them; a boolean mask of the whole tile is 2 MiB.
+    Measured with numpy 2.4.6: 0.27 MiB; 0.54 MiB for a 512 x 8192 tile,
+    and 2.95 MiB there with those class maxima.
     """
     m = retrieval.QUERY_TILE
     rng = np.random.default_rng(11)
@@ -189,15 +197,16 @@ def test_later_chunk_selection_scans_the_tile_in_row_slices():
 
 
 def test_ties_hold_a_bounded_peak_per_first_chunk_score():
-    """512 queries at k = 10 over 100 000 identical rows of width 8.
+    """A tile of QUERY_TILE queries at k = 10 over 100 000 identical rows of width 8.
 
-    Each query scores every row the same, so all 512 x 8192 scores of the
+    Each query scores every row the same, so all 256 x 8192 scores of the
     first chunk are candidates, and every later chunk ties with the running
     10th best and gives none. The bound is 64 bytes per first-chunk score
-    (256 MiB). tracemalloc peaks, measured with numpy 2.4.6: 368.1 MiB
+    (128 MiB). tracemalloc peaks, measured with numpy 2.4.6: 96.0 MiB
+    (~48 B a score). For 512 queries in one 512 x 8192 tile: 368.1 MiB
     (~92 B a score) when candidates were gathered by residue class and
-    sorted by id before the merge sort; 192.1 MiB (~48 B) as one
-    row-major scan, sorted once.
+    sorted by id before the merge sort; 192.1 MiB as one row-major scan,
+    sorted once; 105.1 MiB in two 256-query tiles.
     """
     index = retrieval.build_index(np.tile(np.random.default_rng(1).standard_normal(8), (100_000, 1)))
     queries = np.random.default_rng(2).standard_normal((retrieval.QUERY_TILE, 8))
@@ -286,7 +295,8 @@ def test_top_k_batch_leaves_no_copy_of_the_index_resident():
 
     Scored as index x queries, two-threaded OpenBLAS 0.3.31 kept more than
     the index resident after the call (21.4 MB for a 20.5 MB index);
-    scored as queries x index chunks it keeps 3.7 MB. The tile's queries
+    scored as queries x index chunks it keeps 2.1 MB (2.4 MB for a
+    512-query tile). The tile's queries
     span three chunks of the index. The child pins two BLAS threads,
     which OpenBLAS reads at start-up, because single-threaded sgemm kept
     little in either layout. Each read of the resident size follows a

@@ -4,14 +4,15 @@
 is the transform alone; ``retrieval`` scores rows without fitting them;
 ``cli`` writes every command's text through one function, ``_emit``,
 and leaves every flag's value to the library's check of it.
-The documents state the block size that ``streaming`` sets.
+The documents state the block size that ``streaming`` sets and the
+query tile and score buffer that ``retrieval`` sets.
 """
 
 import ast
 import re
 from pathlib import Path
 
-from whitevec import streaming, whitening
+from whitevec import retrieval, streaming, whitening
 
 SRC = Path(streaming.__file__).parent
 ROW_INPUT = {"as_real", "as_rows", "require_int", "BLOCK_ROWS", "row_blocks", "checked_blocks"}
@@ -82,6 +83,37 @@ def test_docs_state_the_block_size_streaming_sets():
             found.setdefault(int(match.group(1) or match.group(2)), []).append(doc.name)
     assert found, "no block size stated in the documents"
     assert set(found) == {streaming.BLOCK_ROWS}, found
+
+
+def test_docs_state_the_search_tile_retrieval_sets():
+    """Every statement in README.md and docs/*.md of the query tile ("tiles
+    of up to N", "N × `--top` running hits", "(R rows at m = N)"), of the
+    score buffer's floats ("F Mi / m", "F Mi floats", "F Mi rows") and of
+    its size ("B MiB buffer", "floats (B MiB)") names retrieval.QUERY_TILE,
+    retrieval.SCORE_FLOATS and SCORE_FLOATS * 4 bytes; R is the chunk of a
+    full tile, SCORE_FLOATS // QUERY_TILE rows."""
+    root = SRC.parents[1]
+    tile, floats = retrieval.QUERY_TILE, retrieval.SCORE_FLOATS
+    patterns = {
+        "tile": (r"tiles\s+of\s+up\s+to\s+(\d+)|(\d+)\s+×\s+`--top`\s+running"
+                 r"|\(\d+\s+(?:rows\s+)?at\s+(?:m\s+=\s+)?(\d+)"),
+        "chunk": r"\((\d+)\s+(?:rows\s+)?at\s+(?:m\s+=\s+)?\d+",
+        "floats": r"(\d+)\s+Mi\s+(?:/\s+m|floats|rows)",
+        "MiB": r"(\d+)\s+MiB\s+buffer|floats\s+\((\d+)\s+MiB\)",
+    }
+    want = {"tile": tile, "chunk": floats // tile, "floats": floats // 2**20,
+            "MiB": floats * 4 // 2**20}
+    assert floats % 2**20 == 0
+    found = {name: {} for name in patterns}
+    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        text = doc.read_text(encoding="utf-8")
+        for name, pattern in patterns.items():
+            for match in re.finditer(pattern, text):
+                value = int(next(group for group in match.groups() if group))
+                found[name].setdefault(value, []).append(doc.name)
+    assert {name: set(values) for name, values in found.items()} == {
+        name: {value} for name, value in want.items()
+    }, found
 
 
 def test_cli_text_output_goes_through_emit():
