@@ -178,16 +178,15 @@ def cmd_stats(args) -> int:
 
 
 def _search_inputs(args):
-    """(index blocks, count, dim, queries) of --index and --query, whitened by --transform if given.
+    """(index blocks, count, dim, query blocks, query count) of --index and --query,
+    whitened by --transform if given.
 
-    Both headers are checked, then the queries are read and checked,
-    before any index block is read.
+    Both headers are checked here; no block of either file is read yet.
     """
     t = fileio.load_transform(args.transform) if args.transform else None
     blocks, count, dim = _emb1_blocks(args.index, t, None)
-    queries, _, _ = _emb1_blocks(args.query, t, dim)
-    # float32 blocks stay float32: the search upcasts them exactly.
-    return blocks, count, dim, np.concatenate([np.empty((0, dim), dtype=np.float32), *queries])
+    queries, m, _ = _emb1_blocks(args.query, t, dim)
+    return blocks, count, dim, queries, m
 
 
 def cmd_search(args) -> int:
@@ -204,7 +203,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    blocks, count, dim, queries = _search_inputs(args)
+    blocks, count, dim, queries, _ = _search_inputs(args)
+    # float32 blocks stay float32: top_k upcasts them exactly.
+    queries = np.concatenate([np.empty((0, dim), dtype=np.float32), *queries])
     index = retrieval.build_index_blocks(blocks, count, dim)
     report = retrieval.benchmark(index, queries, args.top, repetitions=args.reps)
     _emit([json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"], args.out)

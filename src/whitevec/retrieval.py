@@ -10,7 +10,11 @@ One loop answers every search, over chunks of unit index rows from one
 of two sources: ``top_k_batch`` slices them from a ``CosineIndex`` held
 in memory, and ``search_blocks`` normalizes row blocks as they arrive
 into one reused chunk, with the normalizer ``build_index_blocks`` uses,
-so it never holds the index. Queries are answered in tiles of up to
+so it never holds the index. Queries are held once, as unit float32 (4*d
+bytes each): each query block is divided by its float64 norms straight
+into one preallocated matrix, whether the queries arrive as a matrix
+(``top_k_batch``, in ``row_blocks`` slices) or as row blocks
+(``search_blocks``). Queries are answered in tiles of up to
 ``QUERY_TILE``; chunks hold SCORE_FLOATS // m rows for tiles of m
 queries, and each chunk is scored against every tile in turn, as
 ``tile @ chunk.T`` into one reused float32 buffer of ``SCORE_FLOATS``, so
@@ -21,7 +25,9 @@ above one bound per query, found in one row-major scan, so they come
 out in (row, id) order; they are clipped to [-1, 1]. The first chunk's
 bound lets through every score at or above its k-th largest
 residue-class maximum, which never exceeds the query's final k-th best
-score. A later chunk's bound is the query's running k-th best:
+score, and of the scores tied at that maximum only the first k by id,
+so the first chunk gives O(m*k) candidates even when every score ties.
+A later chunk's bound is the query's running k-th best:
 its rows have larger ids than every row merged so far (ids ascend), so a
 score equal to that floor can never displace one of them. After every
 chunk each tile's candidates are merged into its rows of the answer, the
@@ -227,7 +233,9 @@ def top_k_batch(
     zero-norm query, then what ``require_k_results`` raises, before any
     scoring.
     """
-    unit, k_results = _unit_queries(queries, index.dim, k_results)
+    queries = as_rows(queries, index.dim, "queries")
+    unit, zero = _unit_queries(row_blocks(queries), queries.shape[0], index.dim)
+    k_results = _query_k(zero, k_results)
     rows = _chunk_rows(unit.shape[0], k_results)
     chunks = (
         (index.vectors[first : first + rows], index.ids[first : first + rows])
@@ -237,22 +245,39 @@ def top_k_batch(
 
 
 def search_blocks(
-    blocks: Iterable[np.ndarray], count: int, dim: int, queries: np.ndarray, k_results: int
+    blocks: Iterable[np.ndarray],
+    count: int,
+    dim: int,
+    query_blocks: Iterable[np.ndarray],
+    query_count: int,
+    k_results: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``top_k_batch(build_index_blocks(blocks, count, dim), queries, k_results)``, in one pass.
+    """``top_k_batch`` of ``build_index_blocks(blocks, count, dim)`` and the
+    ``query_count`` rows of ``query_blocks``, in one pass over each.
 
-    The index is never held: its rows are normalized as they arrive
-    into one reused chunk, the one ``top_k_batch`` would slice from the
-    index, and every query is scored against it before the next chunk is
-    read. So the answer equals that call's bit for bit, and memory holds
-    the queries, the answer, one chunk and the score buffer, whatever
-    ``count``. ``count`` and ``dim`` are checked as ``build_index_blocks``
-    checks them, then the queries and ``k_results`` as ``top_k_batch``
-    checks them, before any block is read; each block is checked as it
-    arrives, so with no queries the blocks are still read and checked.
+    Neither input is held as it arrives. Each query block is normalized
+    into one preallocated ``query_count`` x ``dim`` float32 matrix, the unit
+    queries ``top_k_batch`` would make (4 * dim bytes a query); then the
+    index rows are normalized into one reused chunk, the one
+    ``top_k_batch`` would slice from the index, and every query is scored
+    against it before the next chunk is read. So the answer equals that
+    call's bit for bit, and memory holds the unit queries, the answer, one
+    chunk and the score buffer, whatever ``count``, plus one block's
+    temporaries.
+
+    Checks, in order, before any index block is read: ``dim`` as
+    ``build_index_blocks`` checks it; ``query_count`` (InvalidParameter
+    unless an integer, DimensionMismatch below 0); every query block as
+    ``top_k_batch`` checks its matrix, as it is read; ``count`` as
+    ``build_index_blocks`` checks it; ZeroVector naming the first
+    zero-norm query, so NaN in a block after it is reported first; then
+    ``k_results``. Each index block is checked as it arrives, so with no
+    queries the blocks are still read and checked.
     """
+    _, dim = _index_shape(1, dim)  # the width alone: the queries are read at it
+    unit, zero = _unit_queries(query_blocks, query_count, dim)
     count, dim = _index_shape(count, dim)
-    unit, k_results = _unit_queries(queries, dim, k_results)
+    k_results = _query_k(zero, k_results)
     rows = _chunk_rows(unit.shape[0], k_results)
     return _top_k_chunks(unit, _unit_chunks(blocks, count, dim, rows), k_results)
 
@@ -266,21 +291,37 @@ def require_k_results(k_results) -> int:
     return k_results
 
 
-def _unit_queries(queries, dim: int, k_results) -> tuple[np.ndarray, int]:
-    """(unit float32 queries, k_results as an int), checked as ``top_k_batch`` states.
+def _unit_queries(blocks, count, dim: int) -> tuple[np.ndarray, int | None]:
+    """(the ``count`` x ``dim`` unit float32 queries of ``blocks``, the first zero-norm row or None).
 
-    Each query is divided by its float64 norm straight into float32, as
-    ``_unit_chunks`` divides index rows.
+    ``count`` must be an integer (InvalidParameter) >= 0
+    (DimensionMismatch). Each block is checked by ``checked_blocks`` and
+    ``row_norms`` as it arrives and divided by its float64 norms straight
+    into its rows of one preallocated float32 matrix, as ``_unit_chunks``
+    divides index rows, so no float64 copy of the queries is made. Rows
+    after a zero-norm row are checked but not divided.
     """
-    queries = as_rows(queries, dim, "queries")
-    qnorms, nonzero = row_norms(queries)
-    zero = np.flatnonzero(~nonzero)
-    if zero.size:
-        raise ZeroVector(f"zero-norm query at row {zero[0]}")
-    k_results = require_k_results(k_results)
-    unit = np.empty(queries.shape, dtype=np.float32)
-    np.divide(queries, qnorms[:, np.newaxis], out=unit, casting="same_kind")
-    return unit, k_results
+    count = require_int(count, "query_count")
+    if count < 0:
+        raise DimensionMismatch(f"cannot search {count} queries")
+    unit = np.empty((count, dim), dtype=np.float32)
+    seen, zero = 0, None
+    for block in checked_blocks(blocks, count, dim):
+        norms, nonzero = row_norms(block)
+        if zero is None and nonzero.all():
+            np.divide(block, norms[:, np.newaxis], out=unit[seen : seen + block.shape[0]],
+                      casting="same_kind")
+        elif zero is None:
+            zero = seen + int(np.argmin(nonzero))
+        seen += block.shape[0]
+    return unit, zero
+
+
+def _query_k(zero: int | None, k_results) -> int:
+    """``k_results`` as an int, after ZeroVector for ``zero``, the first zero-norm query row."""
+    if zero is not None:
+        raise ZeroVector(f"zero-norm query at row {zero}")
+    return require_k_results(k_results)
 
 
 def _chunk_rows(queries: int, k_results: int) -> int:
@@ -342,14 +383,19 @@ def _select(
     l = min(c, max(k, SELECT_CLASSES)), and at least k classes have a
     maximum >= the k-th largest class maximum t, so t never exceeds the
     chunk's k-th best score. The bound is the float32 just below t, or
-    -inf where t clips to -1. Otherwise the rule is every score strictly
-    above ``floor``, each row's running k-th best: a later chunk's ids
-    all exceed the merged ones, so a tie with the floor loses. The bound
-    is the floor, or +inf where it is 1. The rows are compared in slices
+    -inf where t clips to -1; of the scores that clip to t, a row keeps
+    only its first k in column order, since ids ascend with the columns
+    and those k outrank every later one, so the chunk gives O(m * k)
+    candidates even where every score ties. Otherwise the rule is every
+    score strictly above ``floor``, each row's running k-th best: a
+    later chunk's ids all exceed the merged ones, so a tie with the
+    floor loses. The bound is the floor, or +inf where it is 1. The rows are compared in slices
     of at most QUERY_TILE * SELECT_CLASSES scores (or one row), as many as
-    a full tile's class maxima, so no mask of the whole chunk is held.
+    a full tile's class maxima, and ties are trimmed within each slice,
+    so neither a mask nor the ties of the whole chunk are held.
     """
     m, n = scores.shape
+    kth = None
     if floor is None:
         classes = min(n, max(k, SELECT_CLASSES))
         depth = n // classes
@@ -361,12 +407,21 @@ def _select(
     else:
         bound = np.where(floor < 1.0, floor, np.inf)
     step = max(1, QUERY_TILE * SELECT_CLASSES // n)
-    flat = np.concatenate([
-        np.flatnonzero(scores[r : r + step] > bound[r : r + step, np.newaxis]) + r * n
-        for r in range(0, m, step)
-    ])
-    vals = scores.ravel()[flat]
-    return *np.divmod(flat, n), np.clip(vals, -1.0, 1.0, out=vals)
+    found = []
+    for r in range(0, m, step):
+        flat = np.flatnonzero(scores[r : r + step] > bound[r : r + step, np.newaxis])
+        flat += r * n
+        vals = scores.ravel()[flat]
+        np.clip(vals, -1.0, 1.0, out=vals)
+        if kth is not None:  # each row keeps its first k ties with the threshold, by column
+            tied = np.flatnonzero(vals == kth[flat // n])
+            if tied.size > k:
+                row = flat[tied] // n
+                drop = tied[np.arange(tied.size) - np.searchsorted(row, row) >= k]
+                flat, vals = np.delete(flat, drop), np.delete(vals, drop)
+        found.append((flat, vals))
+    flat, vals = (np.concatenate(part) for part in zip(*found))
+    return *np.divmod(flat, n), vals
 
 
 def _best_k(

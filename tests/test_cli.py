@@ -751,15 +751,31 @@ def test_search_queries_span_blocks(workdir, fitted, monkeypatch, capsys, with_t
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_search_queries_keep_their_file_dtype(workdir, monkeypatch, dtype):
-    """A float32 query file is not widened to float64 ahead of the search,
-    and reading the queries reads no index block."""
-    fileio.write_emb1(workdir / "q.emb1", np.ones((3, 4)), dtype=dtype)
-    refuse_block_reads(monkeypatch, workdir / "data.emb1")
-    args = build_parser().parse_args(["search", "--index", str(workdir / "data.emb1"),
-                                      "--query", str(workdir / "q.emb1")])
-    *_, queries = cli._search_inputs(args)
-    assert queries.dtype == dtype and queries.shape == (3, 4)
+def test_search_holds_queries_as_unit_float32(workdir, monkeypatch, dtype):
+    """Reading the search inputs reads no block of either file; the search then
+    holds the queries once, as the unit float32 rows top_k_batch makes."""
+    rows = np.random.default_rng(14).standard_normal((3, 4)) + 1.0
+    fileio.write_emb1(workdir / "q.emb1", rows, dtype=dtype)
+    argv = ["search", "--index", str(workdir / "data.emb1"), "--query", str(workdir / "q.emb1")]
+    with monkeypatch.context() as m:
+        refuse_block_reads(m, workdir / "data.emb1")
+        refuse_block_reads(m, workdir / "q.emb1")
+        *_, count = cli._search_inputs(build_parser().parse_args(argv))
+    assert count == 3
+    held = []
+    real = retrieval._top_k_chunks
+
+    def loop(unit, chunks, k_results):
+        held.append(unit)
+        return real(unit, chunks, k_results)
+
+    monkeypatch.setattr(retrieval, "_top_k_chunks", loop)
+    assert run(argv) == 0
+    (unit,) = held
+    queries = fileio.read_emb1(workdir / "q.emb1")
+    norms, _ = retrieval.row_norms(queries)
+    assert unit.dtype == np.float32 and unit.shape == (3, 4)
+    assert np.array_equal(unit, (queries.astype(np.float64) / norms[:, np.newaxis]).astype(np.float32))
 
 
 @pytest.mark.parametrize("with_transform", [False, True])
@@ -848,6 +864,45 @@ def test_bad_queries_fail_before_any_index_block_is_read(
     captured = capsys.readouterr()
     assert captured.err.startswith("NonFinite: embedding payload") and captured.out == ""
     assert not out.exists()
+
+
+def query_argv(workdir, fitted, with_transform):
+    """``search`` of q.emb1 over data.emb1, and the query row whitened to zero."""
+    argv = ["search", "--index", str(workdir / "data.emb1"), "--query", str(workdir / "q.emb1")]
+    if with_transform:
+        return [*argv, "--transform", str(fitted)], fileio.load_transform(fitted).mean
+    return argv, 0.0
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_zero_query_is_reported_by_its_file_row(workdir, fitted, monkeypatch, capsys, with_transform):
+    """A zero-norm query in the second block is named by its row in the file,
+    before any index block is read."""
+    argv, zero = query_argv(workdir, fitted, with_transform)
+    queries = np.random.default_rng(15).standard_normal((2 * streaming.BLOCK_ROWS, 4)) + 3.0
+    queries[streaming.BLOCK_ROWS + 5] = zero
+    fileio.write_emb1(workdir / "q.emb1", queries)
+    refuse_block_reads(monkeypatch, workdir / "data.emb1")
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ZeroVector: zero-norm query at row {streaming.BLOCK_ROWS + 5}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_nan_in_a_later_query_block_is_reported_before_a_zero_query(
+    workdir, fitted, monkeypatch, capsys, with_transform
+):
+    """A zero row in the first query block and NaN in the third: the reader's
+    NonFinite is reported, as for queries read whole, before any index block is read."""
+    argv, zero = query_argv(workdir, fitted, with_transform)
+    queries = np.random.default_rng(16).standard_normal((2 * streaming.BLOCK_ROWS + 3, 4)) + 3.0
+    queries[1] = zero
+    write_with_last_value_nan(workdir / "q.emb1", queries)
+    refuse_block_reads(monkeypatch, workdir / "data.emb1")
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("NonFinite: embedding payload") and captured.out == ""
 
 
 def test_search_index_of_wrong_dim_for_transform(workdir, fitted, capsys):

@@ -11,9 +11,10 @@ peak, measured with numpy 2.4.6, is 13.3 MiB (60.2 MiB when the index
 was built first), about the same as over a 4 MiB one (13.3 against
 14.8 MiB). With 512-query tiles and a 16 MiB score buffer these were
 24.0, 70.9, 24.0 and 25.5 MiB.
-Its older bound, the index plus 1.5 score buffers, is kept too. Its
-selection scans a tile in row slices, with no mask of the whole tile,
-and where every score ties it holds a bounded peak per candidate.
+Its older bound, the index plus 1.5 score buffers, is kept too. It holds
+its queries once, as unit float32 rows normalized block by block as they
+are read. Its selection scans a tile in row slices, with no mask of the
+whole tile, and where every score ties it keeps at most k ties a query.
 The library ``fit`` of a matrix folds it in blocks too, so it holds
 far less than its input beyond that input. A float32 file's blocks, and
 a float32 matrix's ``row_blocks`` slices, stay float32 until each
@@ -154,6 +155,34 @@ def test_search_streams_an_index_larger_than_its_bound(inputs):
         (d / "large32.emb1").unlink()
 
 
+def test_search_holds_its_queries_once_as_unit_float32(inputs):
+    """8 x BLOCK_ROWS float64 queries of width 64 over a 2048-row index, --top 1.
+
+    The command holds the unit queries (8192 x 64 float32, 2 MiB), the
+    answer (12 bytes a query), one chunk (the whole index as unit
+    float32, 0.5 MiB) and the score buffer (256 x 2048 floats, 2 MiB).
+    The bound adds half a score buffer for a tile's selection, as the
+    tests above do, and four float64 query blocks (2 MiB) for one block's
+    temporaries, 7.6 MiB in all; the queries as read (4 MiB as float64)
+    and their float64 copy would exceed it. Measured with numpy 2.4.6:
+    6.7 MiB; 10.7 MiB when the queries were concatenated as read and
+    normalized through a float64 copy.
+    """
+    d = inputs
+    m, rows = 8 * streaming.BLOCK_ROWS, 2048
+    rng = np.random.default_rng(17)
+    fileio.write_emb1(d / "queries8.emb1", rng.standard_normal((m, D)))
+    fileio.write_emb1(d / "index2k.emb1", rng.standard_normal((rows, D), dtype=np.float32),
+                      dtype="float32")
+    argv = ["search", "--index", str(d / "index2k.emb1"), "--query", str(d / "queries8.emb1"),
+            "--top", "1", "--out", str(d / "hits.tsv")]
+    unit_bytes, chunk_bytes = m * D * 4, rows * D * 4
+    buffer_bytes = retrieval.QUERY_TILE * rows * 4
+    bound = unit_bytes + m * 12 + chunk_bytes + 1.5 * buffer_bytes + 4 * streaming.BLOCK_ROWS * D * 8
+    assert unit_bytes + 2 * m * D * 8 > bound
+    assert peak_bytes(cli, argv) < bound
+
+
 def test_search_at_a_large_top_holds_the_answer_as_arrays(inputs):
     """Many queries at a large --top hold two m x top arrays, 12 bytes a hit.
 
@@ -212,6 +241,20 @@ def test_ties_hold_a_bounded_peak_per_first_chunk_score():
     queries = np.random.default_rng(2).standard_normal((retrieval.QUERY_TILE, 8))
     first_chunk = retrieval.QUERY_TILE * (retrieval.SCORE_FLOATS // retrieval.QUERY_TILE)
     assert peak_bytes(retrieval.top_k_batch, index, queries, 10) <= 64 * first_chunk
+
+
+def test_first_chunk_ties_hold_the_score_buffer_and_one_row_slice():
+    """The ties case above, where each row keeps at most k of the first
+    chunk's scores tied at its threshold, trimmed within each row slice.
+
+    The tile holds the 8 MiB score buffer and one slice's candidates
+    (32 rows x 8192 scores, 8 bytes an index) at a time; the bound is
+    24 MiB. Measured with numpy 2.4.6: 22.1 MiB; 96.0 MiB when every
+    first-chunk tie was a candidate.
+    """
+    index = retrieval.build_index(np.tile(np.random.default_rng(1).standard_normal(8), (100_000, 1)))
+    queries = np.random.default_rng(2).standard_normal((retrieval.QUERY_TILE, 8))
+    assert peak_bytes(retrieval.top_k_batch, index, queries, 10) < 24 * 2**20
 
 
 def test_library_sweep_k_of_float32_pairs_holds_blocks():

@@ -446,7 +446,7 @@ class TestTopKBatch:
     def test_later_chunks_keep_no_ties_with_the_running_floor(self, monkeypatch):
         """Identical rows: every chunk after the first ties its whole block
         with the running k-th best, whose ids are smaller, so it yields no
-        candidate; the first chunk of each tile keeps its ties. Two inputs:
+        candidate; the first chunk of each tile keeps k ties a row. Two inputs:
         exact scores of q[0], and a row whose float32 self-score is above 1,
         so the running k-th best is 1.0, which the raw scores still exceed."""
         rows = small_constants(monkeypatch, tile=4, classes=4, floats=32)
@@ -457,7 +457,7 @@ class TestTopKBatch:
         for _ in range(10):
             v = rng.standard_normal(3)
             above = np.tile(v, (5 * rows + 3, 1))
-            unit, _ = retrieval._unit_queries(np.tile(v, (4, 1)), 3, 1)
+            unit, _ = retrieval._unit_queries([np.tile(v, (4, 1))], 4, 3)
             if np.all(unit @ retrieval.build_index(above).vectors[:rows].T > 1.0):
                 break
         else:
@@ -475,11 +475,21 @@ class TestTopKBatch:
             seen.clear()
             ids, scores = retrieval.top_k_batch(retrieval.build_index(data), queries, 3)
             assert rows == 8 and len(seen) == 6 * 2  # six chunks, each scored by two tiles
-            assert all(first and count >= 3 * 4 for first, count, _ in seen[:2])
+            assert [(first, count) for first, count, _ in seen[:2]] == [(True, 3 * 4), (True, 3 * 2)]
             assert all(not first and count == 0 for first, count, _ in seen[2:])
             assert np.array_equal(ids, [[0, 1, 2]] * 6)
             if score is not None:
                 assert all(low > 1.0 for _, _, low in seen) and np.all(scores == score)
+
+    def test_first_chunk_keeps_k_ties_per_row_in_column_order(self):
+        """Every score ties at the threshold but one above it: each row keeps
+        that one and its first k ties, by column."""
+        scores = np.full((3, 4 * retrieval.SELECT_CLASSES), 0.25, dtype=np.float32)
+        scores[1, 7] = 0.5
+        row, col, vals = retrieval._select(scores, 5, None)
+        assert row.tolist() == [0] * 5 + [1] * 6 + [2] * 5
+        assert col.tolist() == [0, 1, 2, 3, 4] * 2 + [7] + [0, 1, 2, 3, 4]
+        assert vals.tolist() == [0.25] * 10 + [0.5] + [0.25] * 5
 
     def test_scores_below_minus_one_all_pass_at_minus_one(self):
         """Rows antipodal to the query, one of which float32 scores below -1:
@@ -488,7 +498,7 @@ class TestTopKBatch:
         for _ in range(10):
             v = rng.standard_normal(8)
             idx = retrieval.build_index(-v * np.array([[1.0], [3.0], [7.0]]))
-            unit, _ = retrieval._unit_queries(v[np.newaxis], 8, 3)
+            unit, _ = retrieval._unit_queries([v[np.newaxis]], 1, 8)
             if (unit @ idx.vectors.T).min() < -1.0:
                 break
         else:
@@ -654,7 +664,7 @@ class TestSearchBlocks:
             want = retrieval.top_k_batch(index, queries, k)
             monkeypatch.setattr(retrieval, "_select", select)
             chunk_rows.clear()
-            got = retrieval.search_blocks(blocks_of(data, 5), n, d, queries, k)
+            got = retrieval.search_blocks(blocks_of(data, 5), n, d, blocks_of(queries, 2), m, k)
             monkeypatch.setattr(retrieval, "_select", real)
             assert_same_hits(got, want)
             assert want[0].shape == (m, min(k, index.size))
@@ -668,7 +678,7 @@ class TestSearchBlocks:
         data[streaming.BLOCK_ROWS] = 0.0
         queries = rng.standard_normal((retrieval.QUERY_TILE + 1, 8)).astype(np.float32)
         index = retrieval.build_index_blocks(blocks_of(data, streaming.BLOCK_ROWS), *data.shape)
-        got = retrieval.search_blocks(blocks_of(data, 1000), *data.shape, queries, 10)
+        got = retrieval.search_blocks(blocks_of(data, 1000), *data.shape, [queries], len(queries), 10)
         assert_same_hits(got, retrieval.top_k_batch(index, queries, 10))
 
     def test_chunk_is_reused_and_never_the_index(self, monkeypatch):
@@ -687,7 +697,7 @@ class TestSearchBlocks:
             return real(unit, spy(), k_results)
 
         monkeypatch.setattr(retrieval, "_top_k_chunks", loop)
-        retrieval.search_blocks(blocks_of(data, 4), *data.shape, queries, 2)
+        retrieval.search_blocks(blocks_of(data, 4), *data.shape, [queries], 4, 2)
         assert [size for _, size in seen] == [rows] * 5 + [1]
         assert all(base is seen[0][0] for base, _ in seen) and seen[0][0].shape == (rows, 3)
 
@@ -709,16 +719,16 @@ class TestSearchBlocks:
 
         monkeypatch.setattr(retrieval, "_select", select)
         blocks = (tracked(rng.standard_normal((5, 4))) for _ in range(3))
-        retrieval.search_blocks(blocks, 15, 4, np.ones((1, 4)), 2)
+        retrieval.search_blocks(blocks, 15, 4, [np.ones((1, 4))], 1, 2)
         assert alive == [[False] * 3]
 
     def test_no_queries_still_checks_every_block(self):
         nan_last = [np.ones((3, 2)), np.array([[1.0, np.nan]])]
         with pytest.raises(errors.NonFinite):
-            retrieval.search_blocks(iter(nan_last), 4, 2, np.empty((0, 2)), 3)
+            retrieval.search_blocks(iter(nan_last), 4, 2, [np.empty((0, 2))], 0, 3)
         with pytest.raises(errors.DimensionMismatch, match="expected 5"):
-            retrieval.search_blocks(iter([np.ones((3, 2))]), 5, 2, np.empty((0, 2)), 3)
-        ids, scores = retrieval.search_blocks(iter([np.ones((3, 2))]), 3, 2, np.empty((0, 2)), 3)
+            retrieval.search_blocks(iter([np.ones((3, 2))]), 5, 2, [], 0, 3)
+        ids, scores = retrieval.search_blocks(iter([np.ones((3, 2))]), 3, 2, [], 0, 3)
         assert ids.shape == scores.shape == (0, 3)
 
     @pytest.mark.parametrize("count, dim, queries, k, error", [
@@ -737,7 +747,7 @@ class TestSearchBlocks:
             yield
 
         with pytest.raises(error):
-            retrieval.search_blocks(blocks(), count, dim, queries, k)
+            retrieval.search_blocks(blocks(), count, dim, [queries], len(queries), k)
 
 
 class TestBenchmark:
