@@ -204,8 +204,10 @@ def cmd_search(args) -> int:
 
 def cmd_bench(args) -> int:
     blocks, count, dim, queries, _ = _search_inputs(args)
-    # float32 blocks stay float32: top_k upcasts them exactly.
+    # float32 blocks stay float32: top_k upcasts them exactly. The queries are
+    # checked, a zero-norm one named by its row, before any index block is read.
     queries = np.concatenate([np.empty((0, dim), dtype=np.float32), *queries])
+    retrieval.require_queries(queries, dim)
     index = retrieval.build_index_blocks(blocks, count, dim)
     report = retrieval.benchmark(index, queries, args.top, repetitions=args.reps)
     _emit([json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"], args.out)

@@ -182,7 +182,8 @@ def _block_cosines(lefts, rights, n: int, transforms):
     cosines = np.empty((len(transforms), n))
     valid = np.empty((len(transforms), n), dtype=bool)
     seen, dim = 0, None
-    pairs = zip_longest(checked_blocks(lefts, n, None), checked_blocks(rights, n, None))
+    pairs = zip_longest(checked_blocks(lefts, n, None, "left block"),
+                        checked_blocks(rights, n, None, "right block"))
     for left, right in pairs:
         # A side that has run out is None, whose shape () matches no block's.
         if np.shape(left) != np.shape(right):

@@ -96,7 +96,8 @@ def _open_payload(f) -> Emb1Header:
 def _blocks(f, count: int, dim: int, dtype: np.dtype):
     """Yield the payload as finite, read-only BLOCK_ROWS-row blocks in the file's dtype.
 
-    Each block is read straight into a new array, so it is the only copy.
+    Each block is read straight into a new array, so it is the only copy,
+    and the generator lets go of it before it makes the next.
     """
     for start in range(0, count, BLOCK_ROWS):
         block = np.empty((min(BLOCK_ROWS, count - start), dim), dtype=dtype)
@@ -106,6 +107,7 @@ def _blocks(f, count: int, dim: int, dtype: np.dtype):
             raise NonFinite("embedding payload contains NaN or Inf")
         block.setflags(write=False)
         yield block
+        del block  # not held while the next block is allocated
 
 
 def read_emb1_header(path) -> Emb1Header:
@@ -208,7 +210,7 @@ def write_emb1_blocks(
 
     def chunks():
         yield header
-        for block in checked_blocks(blocks, count, dim):
+        for block in checked_blocks(blocks, count, dim, "block"):
             with np.errstate(over="ignore"):
                 out = np.ascontiguousarray(block, dtype=DTYPES[code])
             if not np.all(np.isfinite(out)):

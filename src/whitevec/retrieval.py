@@ -189,7 +189,7 @@ def _unit_chunks(blocks, count: int, dim: int, rows: int):
     vectors = np.empty((min(rows, count), dim), dtype=np.float32)
     ids = np.empty(vectors.shape[0], dtype=np.int64)
     seen = kept = 0
-    for block in checked_blocks(blocks, count, dim):
+    for block in checked_blocks(blocks, count, dim, "index block"):
         norms, nonzero = row_norms(block)
         keep = np.flatnonzero(nonzero)
         while keep.size:
@@ -235,7 +235,8 @@ def top_k_batch(
     """
     queries = as_rows(queries, index.dim, "queries")
     unit, zero = _unit_queries(row_blocks(queries), queries.shape[0], index.dim)
-    k_results = _query_k(zero, k_results)
+    _require_nonzero(zero)
+    k_results = require_k_results(k_results)
     rows = _chunk_rows(unit.shape[0], k_results)
     chunks = (
         (index.vectors[first : first + rows], index.ids[first : first + rows])
@@ -277,7 +278,8 @@ def search_blocks(
     _, dim = _index_shape(1, dim)  # the width alone: the queries are read at it
     unit, zero = _unit_queries(query_blocks, query_count, dim)
     count, dim = _index_shape(count, dim)
-    k_results = _query_k(zero, k_results)
+    _require_nonzero(zero)
+    k_results = require_k_results(k_results)
     rows = _chunk_rows(unit.shape[0], k_results)
     return _top_k_chunks(unit, _unit_chunks(blocks, count, dim, rows), k_results)
 
@@ -306,7 +308,7 @@ def _unit_queries(blocks, count, dim: int) -> tuple[np.ndarray, int | None]:
         raise DimensionMismatch(f"cannot search {count} queries")
     unit = np.empty((count, dim), dtype=np.float32)
     seen, zero = 0, None
-    for block in checked_blocks(blocks, count, dim):
+    for block in checked_blocks(blocks, count, dim, "query block"):
         norms, nonzero = row_norms(block)
         if zero is None and nonzero.all():
             np.divide(block, norms[:, np.newaxis], out=unit[seen : seen + block.shape[0]],
@@ -317,11 +319,19 @@ def _unit_queries(blocks, count, dim: int) -> tuple[np.ndarray, int | None]:
     return unit, zero
 
 
-def _query_k(zero: int | None, k_results) -> int:
-    """``k_results`` as an int, after ZeroVector for ``zero``, the first zero-norm query row."""
+def require_queries(queries, dim: int) -> np.ndarray:
+    """``queries`` as an m x ``dim`` float matrix (``as_rows``), checked as ``top_k_batch``
+    checks its queries: DimensionMismatch for another shape, NonFinite for NaN, Inf or
+    a norm beyond float64, then ZeroVector naming the first zero-norm row."""
+    queries = as_rows(queries, dim, "queries")
+    _require_nonzero(_unit_queries(row_blocks(queries), queries.shape[0], dim)[1])
+    return queries
+
+
+def _require_nonzero(zero: int | None) -> None:
+    """ZeroVector unless ``zero``, the first zero-norm query row, is None."""
     if zero is not None:
         raise ZeroVector(f"zero-norm query at row {zero}")
-    return require_k_results(k_results)
 
 
 def _chunk_rows(queries: int, k_results: int) -> int:
@@ -467,14 +477,16 @@ def benchmark(
     more slowly with d and adds a fixed selection cost per query. Every
     query of every repetition is one sample, and the rate is the inverse
     of their median, so a burst of other load that slows a few queries
-    does not move it. ``queries`` must hold at least one row (EmptyInput)
-    and ``repetitions`` pass ``require_repetitions``; ``k_results`` is
-    checked by the first query's ``top_k``.
+    does not move it. Before any query is timed, ``queries`` must pass
+    ``require_queries`` and hold at least one row (EmptyInput),
+    ``repetitions`` pass ``require_repetitions`` and ``k_results``
+    ``require_k_results``.
     """
-    queries = as_rows(queries, None, "queries")
+    queries = require_queries(queries, index.dim)
     if queries.shape[0] == 0:
         raise EmptyInput("benchmark needs at least one query")
     repetitions = require_repetitions(repetitions)
+    k_results = require_k_results(k_results)
 
     times = []
     for _ in range(repetitions):

@@ -13,8 +13,11 @@ combination of two (count, mean, scatter) triples:
 them in; ``merge`` folds in another state. A single vector is the
 one-row block, whose scatter is zero and is not added. The combination
 adds into the state's scatter in place, so its only d x d temporary is
-the outer product. Storing the unscaled sum keeps the combination free
-of catastrophic cancellation, and streaming, batch and merged results
+the outer product. ``fold`` keeps the centred block in one buffer and
+the block scatter and outer product in one d x d buffer, which every
+block of the call reuses, so at the paper's d = 768 a block costs no
+fresh pages. Storing the unscaled sum keeps the combination free of
+catastrophic cancellation, and streaming, batch and merged results
 agree up to round-off.
 
 This module is also the one home of row input: ``as_real`` and
@@ -100,23 +103,24 @@ def row_blocks(data: np.ndarray):
     return (as_rows(data[i : i + BLOCK_ROWS], None, "data") for i in starts)
 
 
-def checked_blocks(blocks, count: int, dim: int | None):
+def checked_blocks(blocks, count: int, dim: int | None, name: str):
     """Yield ``blocks`` as float (m, dim) matrices (``as_rows``) that hold exactly ``count`` rows.
 
-    ``dim=None`` takes the width of the first block. DimensionMismatch
-    for another shape, for a row past ``count`` as soon as it arrives,
-    and at the end for too few rows.
+    ``dim=None`` takes the width of the first block. DimensionMismatch,
+    naming the blocks by ``name`` (say "query block"), for another shape,
+    for a row past ``count`` as soon as it arrives, and at the end for
+    too few rows.
     """
     seen = 0
     for block in blocks:
-        block = as_rows(block, dim, "block")
+        block = as_rows(block, dim, name)
         dim = block.shape[1]
         seen += block.shape[0]
         if seen > count:
-            raise DimensionMismatch(f"blocks hold more than the declared {count} rows")
+            raise DimensionMismatch(f"{name}s hold more than the declared {count} rows")
         yield block
     if seen != count:
-        raise DimensionMismatch(f"blocks hold {seen} rows, expected {count}")
+        raise DimensionMismatch(f"{name}s hold {seen} rows, expected {count}")
 
 
 class MomentState:
@@ -141,6 +145,12 @@ class MomentState:
         float64: ``_combine`` checks the combined mean and scatter
         diagonal, for ``update`` and ``merge`` alike.
         """
+        self._update(x, {})
+
+    def _update(self, x, scratch: dict) -> None:
+        """``update``, with the centred rows in ``scratch``'s "rows" buffer and the
+        block scatter, then the outer product, in its "square" buffer; both
+        are made, or made anew, where a block does not fit them."""
         x = as_real(x, "rows")
         block = as_rows(x[np.newaxis] if x.ndim == 1 else x, self.dim, "rows")
         m, d = block.shape
@@ -149,15 +159,18 @@ class MomentState:
         if d < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {d}")
         if m == 1:  # a single row's own scatter is zero, and its mean is the row
-            self._combine(1, block[0])
+            self._combine(1, block[0], None, scratch)
             return
         with np.errstate(over="ignore", invalid="ignore"):
             mean = block.mean(axis=0, dtype=np.float64)
-            centered = np.subtract(block, mean, dtype=np.float64)
-            scatter = centered.T @ centered
-        self._combine(m, mean, scatter)
+            centred = _buffer(scratch, "rows", m, d)
+            centred[...] = block  # an exact upcast, with none of a casting ufunc's buffers
+            centred -= mean
+            scatter = np.matmul(centred.T, centred, out=_buffer(scratch, "square", d, d))
+        self._combine(m, mean, scatter, scratch)
 
-    def _combine(self, count: int, mean: np.ndarray, scatter: np.ndarray | None = None) -> None:
+    def _combine(self, count: int, mean: np.ndarray, scatter: np.ndarray | None,
+                 scratch: dict) -> None:
         """Chan combination, in place, with a partial state of ``count`` >= 1 points.
 
         ``scatter`` None is a zero scatter (a single point). The only change
@@ -170,11 +183,14 @@ class MomentState:
         Cauchy-Schwarz a scatter's diagonal bounds every entry. Only then
         are ``scatter`` and the scaled outer product added into the state's
         scatter, in that order: each entry is (own + scatter) + outer *
-        n_a * n_b / n, with the bits of the out-of-place sum, and the outer
-        product is the one d x d temporary. Leaving out a zero scatter changes no bit,
-        because the state's scatter never holds -0.0: it starts as zeros +
-        scatter, and a sum that is exactly zero rounds to +0.0. An empty
-        state combines as zeros: 0 + (mean - 0) * 1.0.
+        n_a * n_b / n, with the bits of the out-of-place sum. The outer
+        product is written into ``scratch``'s "square" buffer, which the
+        block scatter of an ``update`` has left free once it is added; it
+        is the one d x d array the combination may make. Leaving out a
+        zero scatter changes no bit, because the state's scatter never
+        holds -0.0: it starts as zeros + scatter, and a sum that is exactly
+        zero rounds to +0.0. An empty state combines as zeros:
+        0 + (mean - 0) * 1.0.
         """
         d = mean.shape[0]
         own_mean = np.zeros(d) if self.mean is None else self.mean
@@ -195,7 +211,7 @@ class MomentState:
             if scatter is not None:
                 self.scatter += scatter
             if self.count:
-                outer = np.einsum("i,j->ij", delta, delta)
+                outer = np.einsum("i,j->ij", delta, delta, out=_buffer(scratch, "square", d, d))
                 outer *= cross
                 self.scatter += outer
         self.mean, self.count = new_mean, total
@@ -209,11 +225,27 @@ class MomentState:
         return out
 
 
+def _buffer(scratch: dict, name: str, rows: int, d: int) -> np.ndarray:
+    """The first ``rows`` rows of ``scratch[name]``, a float64 array of width ``d``,
+    made anew where it is missing, of another width or shorter."""
+    buf = scratch.get(name)
+    if buf is None or buf.shape[0] < rows or buf.shape[1] != d:
+        buf = scratch[name] = np.empty((rows, d))
+    return buf[:rows]
+
+
 def fold(blocks) -> MomentState:
-    """Moments of a stream of row blocks: one ``update`` per block, in order."""
-    state = MomentState()
+    """Moments of a stream of row blocks: one ``update`` per block, in order.
+
+    Every block is centred into one reused float64 buffer, as long as the
+    longest block so far, and its scatter, then its outer product, are
+    written into one reused d x d buffer, so a block allocates no page
+    anew. The buffers belong to this call, and the state holds neither.
+    """
+    state, scratch = MomentState(), {}
     for block in blocks:
-        state.update(block)
+        state._update(block, scratch)
+        del block  # not held while the next block is read
     return state
 
 
@@ -223,7 +255,7 @@ def merge(a: MomentState, b: MomentState) -> MomentState:
         raise DimensionMismatch(f"state dims differ: {a.dim} vs {b.dim}")
     out = a.copy()
     if b.count:
-        out._combine(b.count, b.mean, b.scatter)
+        out._combine(b.count, b.mean, b.scatter, {})
     return out
 
 

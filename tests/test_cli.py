@@ -890,6 +890,21 @@ def test_zero_query_is_reported_by_its_file_row(workdir, fitted, monkeypatch, ca
 
 
 @pytest.mark.parametrize("with_transform", [False, True])
+def test_bench_names_a_zero_query_by_its_file_row(workdir, fitted, monkeypatch, capsys, with_transform):
+    """``bench`` reports a zero-norm query in the second block as ``search`` does,
+    by its row in the file, before any index block is read."""
+    argv, zero = query_argv(workdir, fitted, with_transform)
+    queries = np.random.default_rng(15).standard_normal((2 * streaming.BLOCK_ROWS, 4)) + 3.0
+    queries[streaming.BLOCK_ROWS + 5] = zero
+    fileio.write_emb1(workdir / "q.emb1", queries)
+    refuse_block_reads(monkeypatch, workdir / "data.emb1")
+    assert run(["bench", *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ZeroVector: zero-norm query at row {streaming.BLOCK_ROWS + 5}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
 def test_nan_in_a_later_query_block_is_reported_before_a_zero_query(
     workdir, fitted, monkeypatch, capsys, with_transform
 ):

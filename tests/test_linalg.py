@@ -140,3 +140,39 @@ def test_sym_eig_huge_asymmetric_entries_stay_finite():
     e = linalg.sym_eig(np.array([[1e308, 0.9e308], [0.7e308, -1e308]]))
     root = np.sqrt(1.64) * 1e308
     assert np.allclose(e.eigenvalues, [root, -root], rtol=1e-14)
+
+
+def bits_equal(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_sym_eig_factors_a_bit_symmetric_input_as_it_is():
+    """Halving would round an odd subnormal to zero; a symmetric input is not halved."""
+    tiny = np.array([[5e-324]])
+    assert linalg.sym_eig(tiny).eigenvalues[0] == 5e-324
+
+
+def asymmetric_inputs():
+    a = np.random.default_rng(21).standard_normal((70, 70))  # more rows than one slice
+    zero_sign = a @ a.T
+    zero_sign[0, 69], zero_sign[69, 0] = 0.0, -0.0
+    subnormal = a @ a.T
+    subnormal[3, 5], subnormal[5, 3] = 3 * 5e-324, 0.0  # halving rounds three ulps to two
+    return {
+        "random": a,
+        "zero_sign": zero_sign,
+        "subnormal": subnormal,
+        "huge": np.array([[1e308, 0.9e308], [0.7e308, -1e308]]),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(asymmetric_inputs()))
+def test_asymmetric_input_factors_as_its_halves_summed(name):
+    """An input that is not symmetric bit for bit is factored as A/2 + A^T/2, bit for bit."""
+    a = asymmetric_inputs()[name]
+    assert not bits_equal(a, a.T)
+    half = a / 2.0
+    e, reference = linalg.sym_eig(a), linalg.sym_eig(half + half.T)
+    assert bits_equal(e.eigenvalues, reference.eigenvalues)
+    assert bits_equal(e.eigenvectors, reference.eigenvectors)

@@ -559,7 +559,7 @@ class TestTopKBatch:
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 4)])
     def test_dim_mismatch(self, shape):
         idx = retrieval.build_index(np.eye(4))
-        with pytest.raises(errors.DimensionMismatch):
+        with pytest.raises(errors.DimensionMismatch, match="^queries has shape"):
             retrieval.top_k_batch(idx, np.ones(shape), 1)
 
     def test_zero_query_names_row(self):
@@ -750,7 +750,29 @@ class TestSearchBlocks:
             retrieval.search_blocks(blocks(), count, dim, [queries], len(queries), k)
 
 
+@pytest.mark.parametrize("query_blocks, query_count, message", [
+    ([np.ones((1, 3))], 1, "query block has shape (1, 3)"),
+    ([np.ones(2)], 1, "query block has shape (2,)"),
+    ([np.ones((1, 2))], 2, "query blocks hold 1 rows, expected 2"),
+    ([np.ones((2, 2))], 1, "query blocks hold more than the declared 1 rows"),
+])
+def test_search_blocks_names_the_queries_in_a_query_block_error(query_blocks, query_count, message):
+    """A query block of the wrong shape or count is named as queries, not as index blocks."""
+    with pytest.raises(errors.DimensionMismatch) as e:
+        retrieval.search_blocks([np.eye(2)], 2, 2, query_blocks, query_count, 1)
+    assert str(e.value).startswith(message)
+
+
 class TestBenchmark:
+    def test_zero_query_named_by_its_row_before_any_query_is_timed(self, monkeypatch):
+        def timed(*args):
+            raise AssertionError("a query was timed")
+
+        monkeypatch.setattr(retrieval, "top_k", timed)
+        idx = retrieval.build_index(np.eye(2))
+        with pytest.raises(errors.ZeroVector, match="row 1$"):
+            retrieval.benchmark(idx, np.array([[1.0, 0.0], [0.0, 0.0]]), 1, repetitions=3)
+
     def test_storage_accounting(self):
         rng = np.random.default_rng(4)
         idx = retrieval.build_index(rng.standard_normal((30, 768)))
